@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the engine-parity gates this repo's PRs must keep:
 #
+#   0. an offline packaging-metadata smoke (`setup.py egg_info` from
+#      pyproject.toml: distribution name, version, the numpy requirement);
 #   1. the full test-suite under the reference round engine (tier-1);
 #   2. the same suite replayed under the batched round engine and again
 #      under the sharded round engine (worker-pool delivery) — every test
@@ -70,14 +72,34 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# The batched engine and both benchmark gates need numpy; fail up front with
-# a clear message instead of an import traceback halfway through the suite.
+# The package requires numpy; fail up front with a clear message instead of
+# an import traceback halfway through the suite.
 if ! python -c "import numpy" >/dev/null 2>&1; then
     echo "verify: error: numpy is not installed." >&2
-    echo "verify: the batched round engine and the benchmark gates require it;" >&2
+    echo "verify: the package requires it (see pyproject.toml);" >&2
     echo "verify: install it (pip install numpy) and re-run." >&2
     exit 1
 fi
+
+echo "== packaging metadata smoke (offline egg_info) =="
+EGG_TMP="$(mktemp -d)"
+python -W ignore setup.py -q egg_info --egg-base "$EGG_TMP"
+python - "$EGG_TMP" <<'PY'
+import glob, sys
+import repro
+(info,) = glob.glob(sys.argv[1] + "/*.egg-info")
+meta = dict(
+    line.split(": ", 1)
+    for line in open(info + "/PKG-INFO", encoding="utf-8").read().split("\n\n")[0].splitlines()
+    if ": " in line
+)
+requires = open(info + "/requires.txt", encoding="utf-8").read().split()
+assert meta["Name"] == "repro", meta.get("Name")
+assert meta["Version"] == repro.__version__, (meta.get("Version"), repro.__version__)
+assert any(r.startswith("numpy") for r in requires), requires
+print(f"metadata: {meta['Name']} {meta['Version']}, requires {' '.join(requires)}")
+PY
+rm -rf "$EGG_TMP"
 
 echo "== tier-1: reference engine =="
 python -m pytest -x -q "$@"

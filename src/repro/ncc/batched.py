@@ -14,20 +14,19 @@ with vectorized/bucketed operations:
 * receive bucketing — one stable argsort over the ``dst`` column, groups
   emitted in first-arrival order via fancy indexing of the object column.
 
-When every sender group is a :class:`~repro.ncc.message.MessageBatch` the
-columns are simply concatenated (no per-message attribute access at all);
-plain lists are lowered to columns first.  The clean round — no violations,
-no malformed input — never takes a per-message Python branch.
+Plain ``list[Message]`` groups (overlay, baselines, spec-form callers) are
+lowered to columns once; past that, the clean round — no violations, no
+malformed input — never takes a per-message Python branch.
 
 Deferred (lazy) rounds go further still: when every group is a
-column-backed :class:`~repro.ncc.message.InboxBatch` — the default
+column-backed :class:`~repro.ncc.message.InboxBatch` — the
 :class:`~repro.ncc.message.BatchBuilder` output — the send-side checks run
 entirely off construction metadata (uniform sender, bits sum/max, C-level
 min/max over the dst columns) and delivery permutes the *columns*, handing
 each destination an ``InboxBatch`` span.  A clean deferred round therefore
-constructs **zero** ``Message`` objects end-to-end, at any round size, with
-or without numpy (small or numpy-free rounds bucket the columns in plain
-Python instead of via argsort — same observables, still object-free).
+constructs **zero** ``Message`` objects end-to-end, at any round size
+(small rounds bucket the columns in plain Python instead of via argsort —
+same observables, still object-free).
 
 A round with *any* anomaly replays the canonical walks of
 :class:`~repro.ncc.engine.RoundEngine`, which keeps the violation-ledger
@@ -37,28 +36,19 @@ certifies.  (For lazy groups the walk materializes the messages, which is
 exactly what the reference engine observes.)  Receive-side overloads (the
 model-faithful DROP scenario) keep the bucketed argsort delivery and only
 walk per-inbox, not per-message.
-
-numpy is optional: without it non-deferred submissions degrade to the
-canonical walks (identical behavior, no speedup), so importing this module
-never hard-fails.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BuilderBatches, InboxBatch, Message, MessageBatch
+from .message import BuilderBatches, InboxBatch, Message
 from .message import _count_boxes
-
-HAVE_NUMPY = _np is not None
 
 _TYPED_FALLBACKS = METRICS.counter("ncc.typed_fallbacks")
 
@@ -108,90 +98,22 @@ class BatchedEngine(RoundEngine):
                 break
         if deferred:
             return self._run_deferred(senders, groups)
-        if _np is None:
-            return self._run_walks(senders, groups)
         counts_l = [len(g) for g in groups]
         m_count = sum(counts_l)
         if m_count < SMALL_ROUND_CUTOFF:
             # Empty rounds included: the walk still validates sender ids
             # exactly like the reference engine.
             return self._run_walks(senders, groups)
-
-        # Two ways to know the send-side facts of a round: full per-message
-        # ``src``/``bits`` columns, or per-group metadata proved at batch
-        # construction (uniform sender + bits sum/max).  The metadata form
-        # replaces O(messages) column work with O(senders) work and is the
-        # common case for primitive-built traffic.
-        src = bits = None
-        usrc = bsum = bmax = None
-        # One classification pass: are all groups MessageBatch, do they all
-        # have cached numpy columns (steady-state resubmission), and do they
-        # all carry construction-time metadata (fresh builder batches)?
-        all_batches = cached = meta = True
-        for g in groups:
-            if type(g) is not MessageBatch:
-                all_batches = cached = meta = False
-                break
-            if g._int_cols is None:
-                cached = False
-            if g._uniform_src is None or g._bits_agg is None:
-                meta = False
         try:
-            if all_batches and cached:
-                # Steady-state resubmission (the same batches replayed
-                # round after round, e.g. by benchmarks): concatenate the
-                # cached per-batch arrays — one call for all three int
-                # rows, one for the object refs.
-                cols = _np.concatenate([g.int_cols for g in groups], axis=1)
-                if cols.dtype != _np.int64:  # a batch degraded to lists
-                    return self._run_walks(senders, groups)
-                src, dst, bits = cols
-                obj = _np.concatenate([g.obj_col for g in groups])
-            elif all_batches and meta:
-                # Fresh builder/from_columns batches (the common case:
-                # primitives build new batches every round): the sender is
-                # uniform per group by construction and the bits aggregates
-                # were captured at finalize, so only the dst and object
-                # columns need to exist per message — send-side checks
-                # become O(senders) instead of O(messages).
-                dst_l: list[int] = []
-                flat: list[Message] = []
-                for g in groups:
-                    dst_l += g.list_cols[1]
-                    flat += g
-                dst = _np.fromiter(dst_l, _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
-                k = len(groups)
-                usrc = _np.fromiter([g._uniform_src for g in groups], _np.int64, k)
-                bsum = _np.fromiter([g._bits_agg[0] for g in groups], _np.int64, k)
-                bmax = _np.fromiter([g._bits_agg[1] for g in groups], _np.int64, k)
-            elif all_batches:
-                # Batches without construction-time metadata: flat-extend
-                # the Python-list columns — one memcpy per group — then
-                # lower each column once.
-                src_l: list[int] = []
-                dst_l = []
-                bits_l: list[int] = []
-                flat = []
-                for g in groups:
-                    s, d, b = g.list_cols
-                    src_l += s
-                    dst_l += d
-                    bits_l += b
-                    flat += g
-                src = _np.fromiter(src_l, _np.int64, m_count)
-                dst = _np.fromiter(dst_l, _np.int64, m_count)
-                bits = _np.fromiter(bits_l, _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
-            else:
-                # Plain lists: lower the groups to columns once, flat order.
-                flat = []
-                for g in groups:
-                    flat.extend(g)
-                src = _np.fromiter([m.src for m in flat], _np.int64, m_count)
-                dst = _np.fromiter([m.dst for m in flat], _np.int64, m_count)
-                bits = _np.fromiter([m.bits for m in flat], _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
+            # Plain lists (or resubmitted delivered spans): lower the
+            # groups to columns once, flat order.
+            flat: list[Message] = []
+            for g in groups:
+                flat.extend(g)
+            src = _np.fromiter([m.src for m in flat], _np.int64, m_count)
+            dst = _np.fromiter([m.dst for m in flat], _np.int64, m_count)
+            bits = _np.fromiter([m.bits for m in flat], _np.int64, m_count)
+            obj = _np.fromiter(flat, dtype=object, count=m_count)
             counts = _np.fromiter(counts_l, _np.int64, len(counts_l))
             snd = _np.fromiter(senders, _np.int64, len(senders))
         except (OverflowError, TypeError, ValueError):
@@ -216,19 +138,13 @@ class BatchedEngine(RoundEngine):
             bounds = (dsts_present, group_counts)
 
         max_sent = int(counts.max())
-        if src is not None:
-            src_consistent = bool((src == _np.repeat(snd, counts)).all())
-            max_bits = int(bits.max())
-        else:
-            src_consistent = bool((usrc == snd).all())
-            max_bits = int(bmax.max())
         clean = (
             bounds is not None
             and 0 <= int(snd.min())
             and int(snd.max()) < n
             and max_sent <= net.capacity
-            and max_bits <= net.message_bits
-            and src_consistent
+            and int(bits.max()) <= net.message_bits
+            and bool((src == _np.repeat(snd, counts)).all())
         )
         if not clean:
             # Malformed input or a send/bits anomaly: replay the canonical
@@ -246,7 +162,7 @@ class BatchedEngine(RoundEngine):
             if max_sent > stats.max_sent_per_round:
                 stats.max_sent_per_round = max_sent
             sent_messages = m_count
-            sent_bits = int(bits.sum()) if bits is not None else int(bsum.sum())
+            sent_bits = int(bits.sum())
 
         return self._deliver(obj, dst, bounds), sent_messages, sent_bits
 
@@ -326,11 +242,11 @@ class BatchedEngine(RoundEngine):
         return delivered, m_count, sent_bits
 
     def run_builder(self, builder) -> RoundResult:
-        """Execute a round straight off a deferred builder's raw columns —
-        no per-group batch objects at all on the clean path.  Anomalous,
-        eager, or empty rounds finalize normally and replay through
+        """Execute a round straight off a builder's raw columns — no
+        per-group batch objects at all on the clean path.  Anomalous or
+        empty rounds finalize normally and replay through
         :meth:`run_round` (identical observables by construction)."""
-        if not builder._deferred or not builder._groups:
+        if not builder._groups:
             return self.run_round(builder.batches())
         if builder._dtype is not None:
             # Typed builder filled by one whole-round add_arrays call: the
@@ -413,18 +329,17 @@ class BatchedEngine(RoundEngine):
                 typed = True
                 break
         if typed:
-            uniform = _np is not None
+            uniform = True
             dt = None
-            if uniform:
-                for p in pcols:
-                    if type(p) is list:
-                        uniform = False
-                        break
-                    if dt is None:
-                        dt = p.dtype
-                    elif p.dtype != dt:
-                        uniform = False
-                        break
+            for p in pcols:
+                if type(p) is list:
+                    uniform = False
+                    break
+                if dt is None:
+                    dt = p.dtype
+                elif p.dtype != dt:
+                    uniform = False
+                    break
             if uniform:
                 # Fully typed round: concatenate the raw columns and take
                 # the argsort path at any size — the data is already in
@@ -448,9 +363,9 @@ class BatchedEngine(RoundEngine):
                 return self._deliver_deferred_np(
                     senders, kcols, counts, m_count, dst, pay
                 )
-            # Mixed typed/object columns (or a typed round under a
-            # numpy-free engine): box the typed sides — the object-fallback
-            # contract — and continue on the generic list paths.
+            # Mixed typed/object columns: box the typed sides — the
+            # object-fallback contract — and continue on the generic list
+            # paths.
             boxed = 0
             for i, p in enumerate(pcols):
                 if type(p) is not list:
@@ -470,7 +385,7 @@ class BatchedEngine(RoundEngine):
             for i, d in enumerate(dcols):
                 if type(d) is not list:
                     dcols[i] = d.tolist()
-        if _np is not None and m_count >= SMALL_ROUND_CUTOFF:
+        if m_count >= SMALL_ROUND_CUTOFF:
             dst_l: list[int] = []
             pay_l: list = []
             for i, dsts in enumerate(dcols):
@@ -562,10 +477,10 @@ class BatchedEngine(RoundEngine):
         return self._recv_walk(delivered)
 
     def _deliver_deferred_py(self, senders, dcols, pcols, kcols):
-        """Plain-Python columnar bucketing for small or numpy-free deferred
-        rounds: one pass over the columns into per-destination column
-        lists — still zero ``Message`` construction.  (Like the numpy
-        path, the bits column is dropped; sizes re-derive on demand.)"""
+        """Plain-Python columnar bucketing for small deferred rounds: one
+        pass over the columns into per-destination column lists — still
+        zero ``Message`` construction.  (Like the numpy path, the bits
+        column is dropped; sizes re-derive on demand.)"""
         net = self.net
         stats = net.stats
         kind_scalar = self._round_kind_scalar(kcols)

@@ -203,7 +203,7 @@ def engine_names() -> tuple[str, ...]:
 def build_engine(name: str, net: "NCCNetwork") -> RoundEngine:
     """Instantiate the engine registered under ``name`` for ``net``."""
     if name not in _REGISTRY and name == "batched":
-        # Imported lazily so the numpy-free reference path never pays for it.
+        # Imported lazily so a reference-engine run never pays for it.
         from . import batched  # noqa: F401  (registers itself on import)
     elif name not in _REGISTRY and name == "sharded":
         from . import sharded  # noqa: F401  (registers itself on import)

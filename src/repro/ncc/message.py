@@ -6,22 +6,16 @@ is intentionally simple and conservative-ish: identifiers and weights count
 their binary length, containers add their parts, and objects can opt in by
 providing a ``size_bits()`` method (e.g. parity sketches).
 
-:class:`MessageBatch` is the columnar companion of :class:`Message`: one
-sender's messages together with parallel ``(src, dst, bits)`` arrays so the
-batched round engine can account a whole group without touching per-message
-attributes.  It behaves exactly like the plain list the reference engine
-expects.
-
-:class:`InboxBatch` goes one step further: a lazy, frozen,
-``list[Message]``-compatible *view* over parallel ``(src, dst, payload,
-bits, kind)`` columns that materializes a :class:`Message` only when an
-element is actually accessed.  It serves both directions of a round: the
-(default) deferred mode of :class:`BatchBuilder` finalizes each sender's
-traffic into one, and the batched engine delivers each destination's slice
-of the round's permuted columns as one — so a clean batched-engine round
-never constructs a single ``Message`` end-to-end.  Consumers that only need
-the payload column read it via :meth:`InboxBatch.payloads` (or the
-engine-agnostic :func:`payloads_of`) without triggering materialization.
+:class:`InboxBatch` is the columnar companion of :class:`Message`: a lazy,
+frozen, ``list[Message]``-compatible *view* over parallel ``(src, dst,
+payload, bits, kind)`` columns that materializes a :class:`Message` only
+when an element is actually accessed.  It serves both directions of a
+round: :class:`BatchBuilder` finalizes each sender's traffic into one, and
+the batched engine delivers each destination's slice of the round's
+permuted columns as one — so a clean batched-engine round never constructs
+a single ``Message`` end-to-end.  Consumers that only need the payload
+column read it via :meth:`InboxBatch.payloads` (or the engine-agnostic
+:func:`payloads_of`) without triggering materialization.
 """
 
 from __future__ import annotations
@@ -29,10 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence as _SequenceABC
 from typing import Any, Iterable, Sequence
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def payload_bits(payload: Any) -> int:
@@ -74,7 +65,7 @@ def payload_bits(payload: Any) -> int:
         return total
     if isinstance(payload, int):  # IntEnum and friends
         return (payload.bit_length() or 1) + (1 if payload < 0 else 0)
-    if _np is not None and isinstance(payload, _np.generic):
+    if isinstance(payload, _np.generic):
         return _np_scalar_bits(payload)
     size = getattr(payload, "size_bits", None)
     if callable(size):
@@ -370,158 +361,9 @@ class Message:
         return hash((self.src, self.dst, self.kind, payload_key))
 
 
-class MessageBatch(list):
-    """One sender's messages plus parallel ``(src, dst, bits)`` columns.
-
-    A ``MessageBatch`` *is* a ``list[Message]`` — it flows through
-    normalization, the reference engine, DROP sampling, and equality checks
-    exactly like a plain list.  The batched engine additionally trusts the
-    cached columns instead of re-reading per-message attributes, so the
-    batch is frozen: every list mutator raises :class:`TypeError` (a stale
-    column would silently corrupt the capacity accounting).
-
-    With numpy available the integer columns are stacked into one
-    ``(3, len)`` int64 array (rows: src, dst, bits) so a round's groups
-    concatenate with a single call, plus an object array of the message
-    references for fancy-indexed delivery.  Columns are built lazily on
-    first access: a round served by the reference engine (or a batched
-    slow path) never pays for them.  Without numpy — or when a value does
-    not fit int64 — the columns degrade to plain lists and engines fall
-    back to their per-message paths.
-    """
-
-    __slots__ = ("_int_cols", "_obj_col", "_list_cols", "_uniform_src", "_bits_agg")
-
-    def __init__(self, messages: Iterable[Message]):
-        super().__init__(messages)
-        self._int_cols = None
-        self._obj_col = None
-        self._list_cols = None
-        #: The single sender id shared by every message, when the
-        #: constructor can prove it (BatchBuilder groups by sender;
-        #: from_columns with a scalar src).  ``None`` = unknown/mixed.
-        self._uniform_src = None
-        #: ``(sum, max)`` of the bits column, captured at finalize so a
-        #: clean round needs no per-message bits array at all.
-        self._bits_agg = None
-
-    @property
-    def int_cols(self):
-        cols = self._int_cols
-        if cols is None:
-            cols = self._int_cols = self._build_int_cols()
-        return cols
-
-    @property
-    def list_cols(self) -> tuple[list[int], list[int], list[int]]:
-        """``(src, dst, bits)`` as plain Python lists.
-
-        :meth:`from_columns` captures these for free while constructing the
-        messages; a batch built straight from ``Message`` objects derives
-        them on first access.  The batched engine flat-extends these lists
-        across a round's groups — one C-level ``memcpy`` per group instead
-        of a per-message attribute walk or per-group numpy allocations
-        (fresh small batches dominate primitive rounds, so per-batch array
-        construction would cost more than it saves).
-        """
-        cols = self._list_cols
-        if cols is None:
-            cols = self._list_cols = (
-                [m.src for m in self],
-                [m.dst for m in self],
-                [m.bits for m in self],
-            )
-        return cols
-
-    @property
-    def obj_col(self):
-        col = self._obj_col
-        if col is None:
-            if _np is not None:
-                col = _np.fromiter(self, dtype=object, count=len(self))
-            else:
-                col = list(self)
-            self._obj_col = col
-        return col
-
-    def _build_int_cols(self):
-        k = len(self)
-        srcs, dsts, bits = self.list_cols
-        if _np is not None:
-            try:
-                cols = _np.empty((3, k), dtype=_np.int64)
-                cols[0] = _np.fromiter(srcs, _np.int64, k)
-                cols[1] = _np.fromiter(dsts, _np.int64, k)
-                cols[2] = _np.fromiter(bits, _np.int64, k)
-                return cols
-            except OverflowError:
-                # An id/bits value beyond int64 cannot be columnar; the
-                # list form routes engines onto their per-message walks,
-                # which raise the canonical out-of-range errors.
-                pass
-        return [srcs, dsts, bits]
-
-    @classmethod
-    def from_columns(
-        cls,
-        src: int | Sequence[int],
-        dsts: Sequence[int],
-        payloads: Sequence[Any],
-        *,
-        kind: str | Sequence[str] = "",
-    ) -> "MessageBatch":
-        """Build a batch from parallel columns (the cheap constructor).
-
-        ``kind`` may be a single tag for the whole batch or a parallel
-        column of per-message tags (a round may mix e.g. data and token
-        messages from one sender).
-        """
-        if isinstance(src, int):
-            # bool passes the int check (it subclasses int); normalize it so
-            # a ``True`` sender does not leak into the ``_uniform_src``
-            # metadata and the int64 engine columns as a non-int.
-            src = int(src)
-            srcs: Sequence[int] = (src,) * len(dsts)
-        else:
-            srcs = src
-        if isinstance(kind, str):
-            kinds: Sequence[str] = (kind,) * len(dsts)
-        else:
-            kinds = kind
-        msgs: list[Message] = []
-        src_l: list[int] = []
-        dst_l: list[int] = []
-        bits_l: list[int] = []
-        for s, d, p, k in zip(srcs, dsts, payloads, kinds, strict=True):
-            m = Message(s, d, p, k)
-            msgs.append(m)
-            src_l.append(s)
-            dst_l.append(d)
-            bits_l.append(m.bits)
-        batch = cls(msgs)
-        # The columns are known as a by-product of construction; cache them
-        # so the engine never re-reads per-message attributes.
-        batch._list_cols = (src_l, dst_l, bits_l)
-        if isinstance(src, int):
-            batch._uniform_src = src
-        batch._bits_agg = (sum(bits_l), max(bits_l, default=0))
-        return batch
-
-    # -- frozen: all mutators raise ------------------------------------
-    def _frozen(self, *_args: Any, **_kwargs: Any):
-        raise TypeError("MessageBatch is immutable (columns would go stale)")
-
-    append = extend = insert = remove = pop = clear = _frozen
-    sort = reverse = __setitem__ = __delitem__ = _frozen
-    __iadd__ = __imul__ = _frozen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MessageBatch({list.__repr__(self)})"
-
-
 class BuilderBatches(dict):
-    """The finalize product of :class:`BatchBuilder`'s deferred mode: a
-    frozen ``sender -> InboxBatch`` mapping.
+    """The finalize product of :class:`BatchBuilder`: a frozen
+    ``sender -> InboxBatch`` mapping.
 
     The type itself is the engine's provenance proof: every value is a
     column-backed, uniform-sender, whole-span :class:`InboxBatch` with int
@@ -559,7 +401,7 @@ class InboxBatch(_SequenceABC):
 
     Two backings exist:
 
-    * *column-backed* — the deferred :class:`BatchBuilder` output (uniform
+    * *column-backed* — the :class:`BatchBuilder` output (uniform
       ``src``, per-message ``dst``) and the batched engine's clean-round
       delivery (shared permuted round columns, a ``[start, end)`` span per
       destination, uniform ``dst``).  A :class:`Message` is constructed
@@ -567,8 +409,8 @@ class InboxBatch(_SequenceABC):
       :meth:`payloads` / :meth:`srcs` / :meth:`items` read the columns
       without constructing anything.
     * *message-backed* — a span over an already-materialized message
-      column (the batched engine's eager ``MessageBatch`` delivery);
-      element access just indexes, nothing is re-built.
+      column (the batched engine's delivery of plain ``list[Message]``
+      groups); element access just indexes, nothing is re-built.
 
     The view is frozen: it has no mutators, and the scalar/list columns it
     wraps are owned by the batch (accessors return copies).  Equality is
@@ -963,7 +805,7 @@ def gather_typed_spans(inboxes):
     inboxes, merged rounds, the reference engine); callers keep their
     per-inbox loop as the fallback.
     """
-    if _np is None or not inboxes:
+    if not inboxes:
         return None
     # Group spans by backing column (identity: spans *share* their base).
     bases: dict[int, list] = {}  # id(base) -> [base, hosts, starts, ends]
@@ -1080,25 +922,6 @@ def merge_round_inboxes(
             merged[dst] = lst
 
 
-#: Process-wide default for :class:`BatchBuilder`'s deferred mode.  True
-#: (the shipped default) means builders record columns and finalize into
-#: lazy :class:`InboxBatch` groups — no ``Message`` is constructed unless
-#: an engine or consumer actually touches one.  The eager mode (False)
-#: reproduces the pre-lazy pipeline (``Message`` built in :meth:`add`,
-#: :class:`MessageBatch` groups) and is kept as the measured baseline of
-#: ``benchmarks/bench_primitives.py``'s whole-run gate.
-_DEFERRED_DEFAULT = True
-
-
-def set_deferred_submission(flag: bool) -> bool:
-    """Set the process-wide deferred-submission default; returns the
-    previous value (benchmark/test hook — always restore)."""
-    global _DEFERRED_DEFAULT
-    previous = _DEFERRED_DEFAULT
-    _DEFERRED_DEFAULT = bool(flag)
-    return previous
-
-
 class BatchBuilder:
     """Accumulates one round's ``(dst, payload)`` pairs per sender and
     finalizes them into per-sender columnar groups.
@@ -1112,13 +935,10 @@ class BatchBuilder:
     ``exchange`` applies to a flat iterable — so the submission form is
     observably identical under every engine.
 
-    In the default *deferred* mode only the ``(dst, payload, bits, kind)``
-    columns are recorded and finalization produces lazy
-    :class:`InboxBatch` groups: no ``Message`` object exists unless the
-    reference walk (or a consumer) materializes one.  Eager mode
-    (``deferred=False`` or :func:`set_deferred_submission`) builds the
-    ``Message`` in :meth:`add` and finalizes into :class:`MessageBatch`
-    groups, reproducing the previous pipeline.
+    Only the ``(dst, payload, bits, kind)`` columns are recorded and
+    finalization produces lazy :class:`InboxBatch` groups: no ``Message``
+    object exists unless the reference walk (or a consumer) materializes
+    one.
 
     A builder is single-shot: it belongs to one round.  ``kind`` set at
     construction tags every message; :meth:`add` may override it per message
@@ -1126,38 +946,28 @@ class BatchBuilder:
     """
 
     __slots__ = (
-        "kind", "_groups", "_spent", "_deferred", "_bits_sum", "_bits_max",
+        "kind", "_groups", "_spent", "_bits_sum", "_bits_max",
         "_dtype", "_typed_bulk",
     )
 
-    def __init__(
-        self,
-        kind: str = "",
-        *,
-        deferred: bool | None = None,
-        dtype: Any = None,
-    ):
+    def __init__(self, kind: str = "", *, dtype: Any = None):
         self.kind = kind
-        # Deferred: src -> [dsts, payloads, bits, kinds] where ``kinds`` is
-        # the scalar tag until a per-message override forces a column.
-        # Eager: src -> (messages, dsts, bits) — the Message is built once,
-        # in add(), and its columns captured as a by-product.
-        # Typed (``dtype`` declared): src -> [dst_chunks, value_chunks,
+        # Object layout: src -> [dsts, payloads, bits, kinds] where
+        # ``kinds`` is the scalar tag until a per-message override forces a
+        # column.  Typed (``dtype`` declared): src -> [dst_chunks, value_chunks,
         # bits_chunks], each a list of parallel ndarrays concatenated at
         # finalize.
         self._groups: dict[int, Any] = {}
         self._spent = False
-        self._deferred = _DEFERRED_DEFAULT if deferred is None else bool(deferred)
         # Round-level bit aggregates, tracked as messages are queued so the
         # engine's send-side accounting needs no per-group reduction.
         self._bits_sum = 0
         self._bits_max = 0
         # Declared payload dtype.  The object fallback is part of the
-        # contract: without numpy, in eager mode (whose product is Message
-        # objects by definition), or with typed payloads globally disabled
-        # (the benchmark kill-switch), the declaration degrades to the
-        # object layout and every submission is boxed on entry.
-        if dtype is not None and _np is not None and self._deferred and _TYPED_DEFAULT:
+        # contract: with typed payloads globally disabled (the benchmark
+        # kill-switch) the declaration degrades to the object layout and
+        # every submission is boxed on entry.
+        if dtype is not None and _TYPED_DEFAULT:
             dtype = _np.dtype(dtype)
             if not _typed_dtype_ok(dtype):
                 raise TypeError(
@@ -1182,16 +992,7 @@ class BatchBuilder:
             )
         if self._dtype is not None:
             self._box_typed_groups()
-        if not self._deferred:
-            m = Message(src, dst, payload, self.kind if kind is None else kind)
-            g = self._groups.get(src)
-            if g is None:
-                self._groups[src] = g = ([], [], [])
-            g[0].append(m)
-            g[1].append(dst)
-            g[2].append(m.bits)
-            return
-        # Deferred: same validation and sizing the Message constructor
+        # Same validation and sizing the Message constructor
         # would perform, minus the object.  (type() fast path; the
         # isinstance retry accepts bool/IntEnum ids like the Message
         # constructor does, but normalizes them to plain ints — a bool in
@@ -1239,25 +1040,6 @@ class BatchBuilder:
             )
         if self._dtype is not None:
             self._box_typed_groups()
-        if not self._deferred:
-            kind = self.kind
-            msgs: list[Message] = []
-            dst_l: list[int] = []
-            bits_l: list[int] = []
-            for d, p in zip(dsts, payloads, strict=True):
-                m = Message(src, d, p, kind)
-                msgs.append(m)
-                dst_l.append(d)
-                bits_l.append(m.bits)
-            if not msgs:
-                return
-            g = self._groups.get(src)
-            if g is None:
-                self._groups[src] = g = ([], [], [])
-            g[0].extend(msgs)
-            g[1].extend(dst_l)
-            g[2].extend(bits_l)
-            return
         if type(src) is not int:
             if not isinstance(src, int):
                 raise TypeError(f"node ids must be ints, got {type(src).__name__}")
@@ -1300,7 +1082,7 @@ class BatchBuilder:
         ``values`` must match the builder's declared dtype; bit sizes are
         derived per-column by :func:`typed_payload_bits` with no Python
         per element.  On a builder without an active dtype (undeclared,
-        numpy-free, eager mode, or degraded by a mixed submission) the
+        typed payloads disabled, or degraded by a mixed submission) the
         columns are boxed on entry and routed through :meth:`add_many` —
         the object-fallback contract.
         """
@@ -1312,10 +1094,10 @@ class BatchBuilder:
         dt = self._dtype
         if dt is None:
             global _box_count
-            if _np is not None and isinstance(values, _np.ndarray):
+            if isinstance(values, _np.ndarray):
                 _box_count += len(values)
                 values = values.tolist()
-            if _np is not None and isinstance(dsts, _np.ndarray):
+            if isinstance(dsts, _np.ndarray):
                 dsts = dsts.tolist()
             self.add_many(src, dsts, values)
             return
@@ -1371,15 +1153,20 @@ class BatchBuilder:
             )
         if self._dtype is None:
             global _box_count
-            if _np is not None and isinstance(values, _np.ndarray):
+            if isinstance(values, _np.ndarray):
                 _box_count += len(values)
                 values = values.tolist()
-            if _np is not None and isinstance(dsts, _np.ndarray):
+            if isinstance(dsts, _np.ndarray):
                 dsts = dsts.tolist()
-            if _np is not None and isinstance(srcs, _np.ndarray):
+            if isinstance(srcs, _np.ndarray):
                 srcs = srcs.tolist()
-            for s, d, v in zip(list(srcs), list(dsts), list(values), strict=True):
-                self.add(int(s), int(d), v)
+            srcs, dsts, values = list(srcs), list(dsts), list(values)
+            if not (len(srcs) == len(dsts) == len(values)):
+                raise ValueError("add_arrays requires parallel columns of equal length")
+            # add() validates each id (a float id raises like on every
+            # other path instead of truncating to a different node).
+            for s, d, v in zip(srcs, dsts, values):
+                self.add(s, d, v)
             return
         sarr = _np.asarray(srcs)
         if sarr.dtype.kind not in "iub":
@@ -1461,16 +1248,15 @@ class BatchBuilder:
     def senders(self) -> list[int]:
         return list(self._groups)
 
-    def batches(self) -> "dict[int, MessageBatch] | BuilderBatches":
+    def batches(self) -> BuilderBatches:
         """Finalize into per-sender batches with pre-captured columns.
 
-        Deferred mode yields lazy :class:`InboxBatch` groups inside a
-        frozen :class:`BuilderBatches` mapping (the engine's proof that the
-        lazy columnar path applies); eager mode yields plain
-        :class:`MessageBatch` groups.  Finalization is zero-copy either
-        way: the batches take ownership of the builder's lists, so the
-        builder is spent afterwards — further ``add`` calls raise (a stale
-        alias would silently corrupt the frozen batches' cached columns).
+        Yields lazy :class:`InboxBatch` groups inside a frozen
+        :class:`BuilderBatches` mapping (the engine's proof that the lazy
+        columnar path applies).  Finalization is zero-copy: the batches
+        take ownership of the builder's lists, so the builder is spent
+        afterwards — further ``add`` calls raise (a stale alias would
+        silently corrupt the frozen batches' cached columns).
         """
         self._spent = True
         # ``int(src)`` normalizes a (pathological) bool sender key so the
@@ -1492,27 +1278,14 @@ class BatchBuilder:
                     lazy, src, over(src, darr, varr, barr, kind, 0, len(darr))
                 )
             return lazy
-        if self._deferred:
-            lazy = BuilderBatches(self._bits_sum, self._bits_max)
-            lazy_set = dict.__setitem__  # lazy itself is frozen
-            over = InboxBatch._over
-            for src, (dsts, pays, bits, kinds) in self._groups.items():
-                if type(src) is not int:
-                    src = int(src)
-                # Per-group bit aggregates stay lazy (InboxBatch derives
-                # and caches them if the batch is ever resubmitted solo);
-                # the round-level aggregates ride on the mapping itself.
-                lazy_set(
-                    lazy, src, over(src, dsts, pays, bits, kinds, 0, len(dsts))
-                )
-            return lazy
-        out: dict[int, MessageBatch] = {}
-        for src, (msgs, dsts, bits) in self._groups.items():
+        lazy = BuilderBatches(self._bits_sum, self._bits_max)
+        lazy_set = dict.__setitem__  # lazy itself is frozen
+        over = InboxBatch._over
+        for src, (dsts, pays, bits, kinds) in self._groups.items():
             if type(src) is not int:
                 src = int(src)
-            batch = MessageBatch(msgs)
-            batch._list_cols = ([src] * len(msgs), dsts, bits)
-            batch._uniform_src = src
-            batch._bits_agg = (sum(bits), max(bits, default=0))
-            out[src] = batch
-        return out
+            # Per-group bit aggregates stay lazy (InboxBatch derives and
+            # caches them if the batch is ever resubmitted solo); the
+            # round-level aggregates ride on the mapping itself.
+            lazy_set(lazy, src, over(src, dsts, pays, bits, kinds, 0, len(dsts)))
+        return lazy

@@ -197,9 +197,9 @@ class NCCNetwork:
                     existing = per_sender.get(src)
                     if existing is None:
                         # Engines never mutate a sender's group, so the
-                        # caller's list (or MessageBatch / InboxBatch) can
-                        # be shared instead of copied — listing an
-                        # InboxBatch here would defeat its laziness.
+                        # caller's list (or InboxBatch) can be shared
+                        # instead of copied — listing an InboxBatch here
+                        # would defeat its laziness.
                         per_sender[src] = (
                             msgs
                             if isinstance(msgs, (list, InboxBatch))

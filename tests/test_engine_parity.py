@@ -7,7 +7,7 @@ insertion order), same exceptions, and same DROP-rng draws.  This module
 enforces that two ways:
 
 * every algorithm in :mod:`repro.algorithms` runs on seeded random graphs
-  under both engines in all three :class:`~repro.config.Enforcement` modes;
+  under every engine in all three :class:`~repro.config.Enforcement` modes;
 * a seeded fuzzer replays raw (including deliberately violating and
   malformed) exchange rounds under both engines.
 
@@ -23,7 +23,6 @@ import random
 import pytest
 
 import repro.ncc.batched as batched_mod
-import repro.ncc.message as message_mod
 from repro import Enforcement, NCCConfig, NCCRuntime, ReproError
 from repro.graphs import generators
 from repro.registry import iter_algorithms
@@ -31,7 +30,6 @@ from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
     Message,
-    MessageBatch,
     message_construction_count,
     set_typed_payloads,
 )
@@ -133,9 +131,9 @@ class TestAlgorithmParity:
 # ----------------------------------------------------------------------
 # Primitive-level parity: every primitive that submits columnar
 # ----------------------------------------------------------------------
-# All primitives now build MessageBatch columns via BatchBuilder instead of
+# All primitives build columnar submissions via BatchBuilder instead of
 # per-message Message lists; each one must stay observably identical under
-# both engines in every enforcement mode.
+# every engine in every enforcement mode.
 def _memberships(rt):
     rng = random.Random(11)
     return {u: rng.sample(range(6), 2) for u in range(rt.n)}
@@ -326,10 +324,12 @@ class TestTypedRepresentationParity:
 # ----------------------------------------------------------------------
 # Raw-exchange fuzzing: violating and malformed rounds
 # ----------------------------------------------------------------------
-def _random_round(rng: random.Random, n: int, cap: int, *, batch: bool):
+def _random_round(rng: random.Random, n: int, cap: int, *, form: str):
     """One round of random traffic: some senders over capacity, some
-    receivers hot, occasional oversized payloads."""
-    out = {}
+    receivers hot, occasional oversized payloads.  ``form`` picks the
+    submission: plain ``Message`` lists, column-backed ``InboxBatch``
+    groups, or one ``BatchBuilder``."""
+    out = BatchBuilder(kind="fuzz") if form == "builder" else {}
     hot = rng.randrange(n)  # attract extra traffic to one receiver
     for src in rng.sample(range(n), rng.randrange(1, n)):
         count = rng.choice((0, 1, 2, rng.randrange(1, cap + 6)))
@@ -342,20 +342,22 @@ def _random_round(rng: random.Random, n: int, cap: int, *, batch: bool):
                 payloads.append(tuple(range(200)))  # oversized
             else:
                 payloads.append((src, rng.randrange(1 << 16)))
-        if batch:
-            out[src] = MessageBatch.from_columns(src, dsts, payloads, kind="fuzz")
+        if form == "builder":
+            out.add_many(src, dsts, payloads)
+        elif form == "batch":
+            out[src] = InboxBatch(src, dsts, payloads, kinds="fuzz")
         else:
             out[src] = [Message(src, d, p, kind="fuzz") for d, p in zip(dsts, payloads)]
     return out
 
 
-def _replay(engine: str, mode: Enforcement, seed: int, *, batch: bool, n: int = 64):
+def _replay(engine: str, mode: Enforcement, seed: int, *, form: str, n: int = 64):
     cfg = _engine_cfg(engine, seed=SEED, enforcement=mode)
     net = NCCNetwork(n, cfg)
     rng = random.Random(seed)
     trace = []
     for r in range(25):
-        out = _random_round(rng, n, net.capacity, batch=batch)
+        out = _random_round(rng, n, net.capacity, form=form)
         try:
             inboxes = net.exchange(out)
         except ReproError as e:
@@ -369,11 +371,11 @@ def _replay(engine: str, mode: Enforcement, seed: int, *, batch: bool, n: int = 
 @pytest.mark.engine("reference")  # differential by construction
 class TestExchangeFuzzParity:
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    @pytest.mark.parametrize("batch", [False, True], ids=["plain", "batch"])
+    @pytest.mark.parametrize("form", ["plain", "batch", "builder"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_rounds_indistinguishable(self, mode, batch, seed):
-        ref = _replay("reference", mode, seed, batch=batch)
-        bat = _replay("batched", mode, seed, batch=batch)
+    def test_random_rounds_indistinguishable(self, mode, form, seed):
+        ref = _replay("reference", mode, seed, form=form)
+        bat = _replay("batched", mode, seed, form=form)
         assert ref == bat
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
@@ -414,7 +416,7 @@ class TestExchangeFuzzParity:
                 dsts = [(s + 1) % 1024 for s in range(300)]
                 dsts[150] = 2**63
                 if batch:
-                    out = {0: MessageBatch.from_columns(0, dsts, ["x"] * 300)}
+                    out = {0: InboxBatch(0, dsts, ["x"] * 300)}
                 else:
                     out = {0: [Message(0, d, "x") for d in dsts]}
                 with pytest.raises(ValueError) as e:
@@ -423,12 +425,18 @@ class TestExchangeFuzzParity:
         assert len(set(outcomes.values())) == 1
 
     def test_from_columns_rejects_mismatched_column_lengths(self):
-        """Misaligned parallel columns must error, not silently drop the
-        tail of the traffic (zip truncation would corrupt accounting)."""
-        with pytest.raises(ValueError):
-            MessageBatch.from_columns(0, [1, 2, 3], ["a", "b"])
-        with pytest.raises(ValueError):
-            MessageBatch.from_columns([0, 1], [1, 2, 3], ["a", "b", "c"])
+        """Misaligned parallel columns handed to the builder must error
+        and queue nothing, not silently drop the tail of the traffic (zip
+        truncation would corrupt accounting)."""
+        import numpy as np
+
+        for dtype in (None, np.int64):
+            out = BatchBuilder(dtype=dtype)
+            with pytest.raises(ValueError):
+                out.add_arrays([0, 1, 2], [1, 2, 3], [5, 6])
+            with pytest.raises(ValueError):
+                out.add_arrays([0, 1], [1, 2, 3], [5, 6, 7])
+            assert not out and len(out) == 0
 
     def test_non_int_node_ids_rejected_at_message_boundary(self):
         """Float ids would be distinct inbox keys to a per-message walk but
@@ -439,19 +447,19 @@ class TestExchangeFuzzParity:
         with pytest.raises(TypeError, match="node ids must be ints"):
             Message(1.5, 2, "x")
         with pytest.raises(TypeError, match="node ids must be ints"):
-            MessageBatch.from_columns(0, [1, 2.5], ["a", "b"])
+            BatchBuilder().add_many(0, [1, 2.5], ["a", "b"])
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     def test_from_columns_empty_batch(self, mode):
         """An empty batch must behave like no traffic at all: a round still
         elapses, nothing is delivered, statistics untouched — identically
-        under both engines."""
+        under every engine."""
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            empty = MessageBatch.from_columns(3, [], [])
+            empty = InboxBatch(3, [], [])
             assert len(empty) == 0
-            assert empty.list_cols == ([], [], [])
+            assert (empty.srcs(), empty.dsts()) == ([], [])
             inbox = net.exchange({3: empty})
             outcomes[engine] = (inbox, net.round_index, net.stats.comparable())
         _assert_parity(outcomes)
@@ -460,12 +468,12 @@ class TestExchangeFuzzParity:
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     def test_from_columns_single_message(self, mode):
-        """A one-message batch delivers exactly that message, with correct
-        bits accounting, under both engines."""
+        """A one-message column batch delivers exactly that message, with
+        its kind tag and correct bits accounting, under every engine."""
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            batch = MessageBatch.from_columns(4, [9], [("one", 5)], kind="solo")
+            batch = InboxBatch(4, [9], [("one", 5)], kinds="solo")
             inbox = net.exchange({4: batch})
             outcomes[engine] = (
                 [(d, msgs) for d, msgs in inbox.items()],
@@ -487,8 +495,8 @@ class TestExchangeFuzzParity:
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            batch = MessageBatch.from_columns(
-                0, list(range(1, len(payloads) + 1)), payloads, kind="mix"
+            batch = InboxBatch(
+                0, list(range(1, len(payloads) + 1)), payloads, kinds="mix"
             )
             inbox = net.exchange({0: batch})
             outcomes[engine] = (
@@ -516,6 +524,20 @@ class TestExchangeFuzzParity:
 # ----------------------------------------------------------------------
 # Lazy inbox (InboxBatch) delivery: list-equivalence + zero construction
 # ----------------------------------------------------------------------
+def _spy_deliver_deferred_py(monkeypatch):
+    """Count the plain-Python deferred deliveries (batched and sharded
+    share the method) so a test can prove which path its rounds took."""
+    calls = []
+    real = batched_mod.BatchedEngine._deliver_deferred_py
+
+    def spy(self, *args):
+        calls.append(self.name)
+        return real(self, *args)
+
+    monkeypatch.setattr(batched_mod.BatchedEngine, "_deliver_deferred_py", spy)
+    return calls
+
+
 def _deferred_round_traffic(n, per_sender_count, *, mixed_kinds=False):
     """One deterministic deferred round: every node sends ``per_sender_count``
     messages along shifted permutations (clean at <= capacity)."""
@@ -681,19 +703,20 @@ class TestInboxBatchParity:
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     def test_numpy_free_degraded_path(self, mode, monkeypatch):
-        """Without numpy the deferred path buckets the columns in plain
+        """Rounds below ``SMALL_ROUND_CUTOFF`` bucket the columns in plain
         Python: still InboxBatch delivery, still zero construction on
         clean rounds, still indistinguishable from the reference."""
-        monkeypatch.setattr(batched_mod, "_np", None)
-        monkeypatch.setattr(message_mod, "_np", None)
+        py_calls = _spy_deliver_deferred_py(monkeypatch)
         n = 32
+        count = 3
+        assert n * count < batched_mod.SMALL_ROUND_CUTOFF
         inboxes = {}
         stats = {}
         constructed = {}
         for engine in ENGINES:
             net = NCCNetwork(n, _engine_cfg(engine, seed=1, enforcement=mode))
             before = message_construction_count()
-            inboxes[engine] = net.exchange(_deferred_round_traffic(n, 8))
+            inboxes[engine] = net.exchange(_deferred_round_traffic(n, count))
             constructed[engine] = message_construction_count() - before
             stats[engine] = net.stats.comparable()
         assert constructed["reference"] > 0
@@ -705,10 +728,13 @@ class TestInboxBatchParity:
             assert all(
                 type(b) is InboxBatch for b in inboxes[engine].values()
             ), engine
+        assert py_calls == list(ENGINES[1:])
 
     def test_numpy_free_overload_parity(self, monkeypatch):
-        monkeypatch.setattr(batched_mod, "_np", None)
-        monkeypatch.setattr(message_mod, "_np", None)
+        """A small overloaded round on the plain-Python path: its receive
+        overload (the only source of the dropped messages and the ledger
+        entry) replays the canonical walk, DROP draws included."""
+        py_calls = _spy_deliver_deferred_py(monkeypatch)
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(
@@ -717,9 +743,13 @@ class TestInboxBatchParity:
             out = BatchBuilder(kind="hot")
             for u in range(net.capacity + 10):
                 out.add(u, 0, ("h", u))
+            assert len(out) < batched_mod.SMALL_ROUND_CUTOFF
             inbox = net.exchange(out)
             outcomes[engine] = (
                 [(d, sorted(m.payload[1] for m in msgs)) for d, msgs in inbox.items()],
                 net.stats.comparable(),
             )
         _assert_parity(outcomes)
+        assert py_calls == list(ENGINES[1:])
+        stats = outcomes["reference"][1]
+        assert stats["dropped"] == 10 and len(stats["violation_log"]) == 1, stats

@@ -16,7 +16,6 @@ import random
 import numpy as np
 import pytest
 
-import repro.ncc.message as message_mod
 from repro.config import Enforcement, NCCConfig
 from repro.errors import ProtocolError
 from repro.ncc.message import (
@@ -135,6 +134,17 @@ class TestTypedBuilder:
         b = BatchBuilder(dtype=np.int64)
         with pytest.raises(TypeError):
             b.add_array(0, np.asarray([1.5]), [3])
+        # Every add_arrays path validates ids instead of truncating them
+        # (1.5 -> node 1, 0.7 -> node 0): typed, and the untyped object
+        # path, whether the columns arrive as lists or ndarrays.
+        for dtype in (np.int64, None):
+            for wrap in (list, np.asarray):
+                b = BatchBuilder(dtype=dtype)
+                with pytest.raises(TypeError, match="node ids must be ints"):
+                    b.add_arrays(wrap([0]), wrap([1.5]), wrap([3]))
+                with pytest.raises(TypeError, match="node ids must be ints"):
+                    b.add_arrays(wrap([0.7]), wrap([1]), wrap([3]))
+                assert not b
 
     def test_global_toggle_disables_declarations(self):
         prev = set_typed_payloads(False)
@@ -146,13 +156,6 @@ class TestTypedBuilder:
             assert len(b) == 2
         finally:
             set_typed_payloads(prev)
-
-    def test_numpy_free_declaration_degrades(self, monkeypatch, typed_on):
-        monkeypatch.setattr(message_mod, "_np", None)
-        b = BatchBuilder(dtype="i8")
-        assert b._dtype is None
-        b.add(0, 1, 42)
-        assert len(b) == 1
 
 
 # ----------------------------------------------------------------------
