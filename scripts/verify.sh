@@ -51,7 +51,10 @@
 #      TRACE_run.json (override with TRACE_RUN_JSON), `repro trace`
 #      + `--bounds` summaries of it, and a pooled `sweep --telemetry`
 #      whose merged trace/events/summary land in TRACE_sweep/ (override
-#      with TRACE_SWEEP_DIR) for the CI artifact;
+#      with TRACE_SWEEP_DIR) for the CI artifact; between the traced
+#      replay and the smoke runs the benchmark's own selftest
+#      (perfbench/selftest.py), whose tracing wraps NCCNetwork.exchange
+#      and BatchBuilder.add / add_arrays from outside;
 #  12. reprolint (`python -m repro lint --strict`): the AST invariant
 #      checks — determinism, hot-path purity, registry discipline,
 #      canonical-schema freeze, engine-parity locality, pool fork-safety,
@@ -165,6 +168,9 @@ python -m pytest -q benchmarks/bench_primitives.py -k "telemetry"
 
 echo "== traced parity replay (live hooks change nothing) =="
 python -m pytest -q tests/test_engine_parity.py tests/test_telemetry.py --tracing
+
+echo "== benchmark selftest (perfbench wraps exchange / BatchBuilder from outside) =="
+python3 -m pytest -q perfbench/selftest.py
 
 echo "== telemetry smoke (run --trace, repro trace, sweep --telemetry) =="
 TRACE_RUN_JSON="${TRACE_RUN_JSON:-TRACE_run.json}"

@@ -41,7 +41,8 @@ from ..errors import ProtocolError
 from ..ncc.message import (
     BatchBuilder,
     InboxBatch,
-    gather_typed_spans,
+    RoundInbox,
+    payloads_of,
     typed_payloads_enabled,
 )
 from ..ncc.network import NCCNetwork
@@ -248,7 +249,20 @@ class CombiningRouter:
                 and _lightweight(self.net)
                 and not self._queues
             ):
-                return self._run_typed()
+                ccols, gcols, vcols = self._typed_cols
+                g = gcols[0] if len(gcols) == 1 else _np.concatenate(gcols)
+                uniq = _np.unique(g)
+                # The packed sort key (see _run_typed) must fit an int64:
+                # an edge id (a pending node key, all below level d's,
+                # plus the cross bit) above the bits of a group's priority.
+                bottom = self.bf.d << self.bf.d
+                eid_bits = (bottom - 1).bit_length() + 1
+                if eid_bits + (len(uniq) - 1).bit_length() <= 63:
+                    self._typed_cols = None
+                    # Level-0 keys are the columns themselves ((0 << d) | column).
+                    key = ccols[0] if len(ccols) == 1 else _np.concatenate(ccols)
+                    v = vcols[0] if len(vcols) == 1 else _np.concatenate(vcols)
+                    return self._run_typed(key, g, v, uniq)
             self._box_typed_injections()
         self._ran = True
         start_round = self.net.round_index
@@ -470,8 +484,11 @@ class CombiningRouter:
 
         return RoutingResult(net.round_index - start_round, results, self.trees)
 
-    def _run_typed(self) -> RoutingResult:
+    def _run_typed(self, key, g, v, uniq) -> RoutingResult:
         """Array-resident combining kernel (lightweight sync, no trees).
+
+        ``key``/``g``/``v`` are the injected packets' level-0 node keys,
+        groups and values; ``uniq`` their distinct groups, ascending.
 
         Observably equivalent to the object loop of :meth:`run`: the same
         per-edge winners are selected each round (identical ``(rank,
@@ -479,7 +496,14 @@ class CombiningRouter:
         cross the same edges with identical wire bits (``DATA_DTYPE`` sizes
         exactly like the ``("D", ...)`` tuples), and the exact commutative
         int64 reductions make the collision-combine order irrelevant.
-        Python cost per round is O(groups + NCC hosts), not O(packets).
+
+        Each round is one ``argsort`` of a packed int64 key
+        ``sk = (eid << bits(k - 1)) | prio``, where ``eid = (key << 1) |
+        cross`` names the edge a packet wants and ``prio`` is its group's
+        position in ``(rank, group)`` order.  Equal ``sk`` means the same
+        node and group, so one ``reduceat`` over those segments collapses
+        collisions; the first entry of each ``eid`` segment is that edge's
+        winner.  Python cost per round is O(1), not O(packets) or O(hosts).
         """
         self._ran = True
         np = _np
@@ -493,134 +517,118 @@ class CombiningRouter:
         kind = self.kind
         one = np.int64(1)
 
-        ccols, gcols, vcols = self._typed_cols
-        self._typed_cols = None
-        # Level-0 keys are the columns themselves ((0 << d) | column).
-        key = ccols[0] if len(ccols) == 1 else np.concatenate(ccols)
-        g = gcols[0] if len(gcols) == 1 else np.concatenate(gcols)
-        v = vcols[0] if len(vcols) == 1 else np.concatenate(vcols)
-
         # Group tables: rank/target are pure per group — one Python call
-        # per distinct group for the whole run, never per packet.
-        uniq = np.unique(g)
+        # per distinct group for the whole run, never per packet.  Packets
+        # carry their group's index into ``uniq`` (``gi``) between rounds.
         glist = uniq.tolist()
         k_groups = len(glist)
         tcol_by = np.fromiter(
             (self.target_col_of(x) for x in glist), np.int64, k_groups
         )
         rank_by = np.fromiter((self.rank_of(x) for x in glist), np.int64, k_groups)
+        by_prio = np.lexsort((uniq, rank_by))  # prio -> group index
+        prio_by = np.empty(k_groups, dtype=np.int64)
+        prio_by[by_prio] = np.arange(k_groups, dtype=np.int64)
+        pbits = np.int64((k_groups - 1).bit_length())
+        pmask = (one << pbits) - one
+        gi = np.searchsorted(uniq, g)
 
-        res_g: list = []
+        res_gi: list = []
         res_v: list = []
 
         while len(key):
-            # --- collapse colliding packets per (node, group) ---
-            order = np.lexsort((g, key))
-            key = key.take(order)
-            g = g.take(order)
-            v = v.take(order)
-            if len(key) > 1:
-                seg = np.empty(len(key), dtype=bool)
-                seg[0] = True
-                np.not_equal(key[1:], key[:-1], out=seg[1:])
-                seg[1:] |= g[1:] != g[:-1]
-                starts = np.flatnonzero(seg)
-                if len(starts) != len(key):
-                    v = ufunc.reduceat(v, starts)
-                    key = key.take(starts)
-                    g = g.take(starts)
-
-            # --- one down-hop per packet, one winner per (node, edge) ---
+            # --- one packed key per packet: (edge it wants, priority) ---
             level = key >> d
-            bit = np.left_shift(one, level)
-            col = key & mask
-            gi = np.searchsorted(uniq, g)
-            tcol = tcol_by.take(gi)
-            rank = rank_by.take(gi)
-            base = (key + columns) & ~bit
-            tbit = tcol & bit
-            nxt = base | tbit
-            cross = tbit != (col & bit)
-            eid = (key << 1) | cross.astype(np.int64)
-            sel = np.lexsort((g, rank, eid))
-            es = eid.take(sel)
-            first = np.empty(len(es), dtype=bool)
-            first[0] = True
-            np.not_equal(es[1:], es[:-1], out=first[1:])
-            win = np.zeros(len(key), dtype=bool)
-            win[sel[first]] = True
+            bit = one << level
+            cross = (tcol_by.take(gi) & bit) != (key & bit)
+            sk = (((key << 1) | cross) << pbits) | prio_by.take(gi)
+            order = np.argsort(sk)
+            sk = sk.take(order)
+            v = v.take(order)
 
-            # --- emit cross winners as one typed submission ---
+            # --- collapse colliding packets per (node, group) ---
+            seg = np.empty(len(sk), dtype=bool)
+            seg[0] = True
+            np.not_equal(sk[1:], sk[:-1], out=seg[1:])
+            if not seg.all():
+                starts = np.flatnonzero(seg)
+                v = ufunc.reduceat(v, starts)
+                sk = sk.take(starts)
+
+            # --- the first packet of each edge segment wins it ---
+            eid = sk >> pbits
+            win = np.empty(len(eid), dtype=bool)
+            win[0] = True
+            np.not_equal(eid[1:], eid[:-1], out=win[1:])
+            key = eid >> 1
+            cross = (eid & one).astype(bool)
+            gi = by_prio.take(sk & pmask)
+            level = key >> d
+            bit = one << level
+            col = key & mask
+
+            # --- emit cross winners as one typed submission (ascending
+            # key order, so per-host emission order is key order) ---
             out = BatchBuilder(kind=kind, dtype=DATA_DTYPE)
             cw = np.flatnonzero(win & cross)
             if len(cw):
+                ccol = col.take(cw)
                 payload = np.empty(len(cw), dtype=DATA_DTYPE)
                 payload["tag"] = "D"
                 payload["lvl"] = level.take(cw) + 1
-                payload["g"] = g.take(cw)
+                payload["g"] = uniq.take(gi.take(cw))
                 payload["val"] = v.take(cw)
-                out.add_arrays(col.take(cw), nxt.take(cw) & mask, payload)
+                out.add_arrays(ccol, ccol ^ bit.take(cw), payload)
             inboxes = net.exchange(out)
 
             # --- straight winners move locally; losers wait in place ---
             sw = np.flatnonzero(win & ~cross)
-            skey = nxt.take(sw)
-            sg = g.take(sw)
+            skey = key.take(sw) + columns
+            sgi = gi.take(sw)
             sv = v.take(sw)
             done = skey >= bottom
-            res_g.append(sg[done])
+            res_gi.append(sgi[done])
             res_v.append(sv[done])
             lose = ~win
             parts_k = [key[lose], skey[~done]]
-            parts_g = [g[lose], sg[~done]]
+            parts_gi = [gi[lose], sgi[~done]]
             parts_v = [v[lose], sv[~done]]
 
             # --- apply network arrivals ---
-            gathered = gather_typed_spans(inboxes)
-            if gathered is not None:
+            if type(inboxes) is RoundInbox:
                 # The whole round as two columns: no per-host iteration.
-                ahost, arr = gathered
-                akey = (arr["lvl"].astype(np.int64) << d) | ahost
-                ag = arr["g"]
-                av = arr["val"]
-                ab = akey >= bottom
-                res_g.append(ag[ab])
-                res_v.append(av[ab])
-                parts_k.append(akey[~ab])
-                parts_g.append(ag[~ab])
-                parts_v.append(av[~ab])
-                inboxes = {}
-            for host, received in inboxes.items():
-                arr = (
-                    received.payload_array()
-                    if type(received) is InboxBatch
-                    else None
-                )
-                if arr is not None:
-                    lvl = arr["lvl"]
-                    ag = arr["g"]
-                    av = arr["val"]
-                else:
-                    # Reference engine (or a degraded round) delivered
-                    # boxed payloads; lower them back to columns.
-                    pls = (
-                        received.payloads()  # reprolint: disable=NCC002 — degraded-round fallback path
-                        if isinstance(received, InboxBatch)
-                        else [m.payload for m in received]
+                ahost, arr = inboxes.columns()
+                arrivals = [(ahost, arr["lvl"], arr["g"], arr["val"])]
+            else:
+                # Reference engine (or a degraded round): one inbox per host.
+                arrivals = []
+                for host, received in inboxes.items():
+                    arr = (
+                        received.payload_array()
+                        if type(received) is InboxBatch
+                        else None
                     )
-                    c = len(pls)
-                    lvl = np.fromiter((p[1] for p in pls), np.int64, c)
-                    ag = np.fromiter((p[2] for p in pls), np.int64, c)
-                    av = np.fromiter((p[3] for p in pls), np.int64, c)
-                akey = (lvl.astype(np.int64) << d) | host
+                    c = len(received)
+                    if arr is not None:
+                        lvl, ag, av = arr["lvl"], arr["g"], arr["val"]
+                    else:
+                        # Boxed payloads: lower them back to columns.
+                        pls = payloads_of(received)
+                        lvl = np.fromiter((p[1] for p in pls), np.int64, c)
+                        ag = np.fromiter((p[2] for p in pls), np.int64, c)
+                        av = np.fromiter((p[3] for p in pls), np.int64, c)
+                    arrivals.append((np.full(c, host, dtype=np.int64), lvl, ag, av))
+            for ahost, lvl, ag, av in arrivals:
+                akey = (lvl << d) | ahost
+                agi = np.searchsorted(uniq, ag)
                 ab = akey >= bottom
-                res_g.append(ag[ab])
+                res_gi.append(agi[ab])
                 res_v.append(av[ab])
                 parts_k.append(akey[~ab])
-                parts_g.append(ag[~ab])
+                parts_gi.append(agi[~ab])
                 parts_v.append(av[~ab])
             key = np.concatenate(parts_k)
-            g = np.concatenate(parts_g)
+            gi = np.concatenate(parts_gi)
             v = np.concatenate(parts_v)
 
         # Token wave duration (lightweight sync): one hop per level.
@@ -629,21 +637,20 @@ class CombiningRouter:
         # --- fold the per-round result chunks, boxing only at the very
         # end (one Python object per group, not per packet) ---
         results: dict[GroupT, Any] = {}
-        if res_g:
-            rg = np.concatenate(res_g)
+        rg = np.concatenate(res_gi)
+        if len(rg):
             rv = np.concatenate(res_v)
-            if len(rg):
-                order = np.argsort(rg, kind="stable")
-                rg = rg.take(order)
-                rv = rv.take(order)
-                seg = np.empty(len(rg), dtype=bool)
-                seg[0] = True
-                np.not_equal(rg[1:], rg[:-1], out=seg[1:])
-                starts = np.flatnonzero(seg)
-                vals = ufunc.reduceat(rv, starts)
-                results = dict(
-                    zip(rg.take(starts).tolist(), vals.tolist(), strict=True)
-                )
+            order = np.argsort(rg, kind="stable")
+            rg = rg.take(order)
+            rv = rv.take(order)
+            seg = np.empty(len(rg), dtype=bool)
+            seg[0] = True
+            np.not_equal(rg[1:], rg[:-1], out=seg[1:])
+            starts = np.flatnonzero(seg)
+            vals = ufunc.reduceat(rv, starts)
+            results = dict(
+                zip(uniq.take(rg.take(starts)).tolist(), vals.tolist(), strict=True)
+            )
         return RoutingResult(net.round_index - start_round, results, None)
 
 

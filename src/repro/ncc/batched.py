@@ -26,7 +26,12 @@ min/max over the dst columns) and delivery permutes the *columns*, handing
 each destination an ``InboxBatch`` span.  A clean deferred round therefore
 constructs **zero** ``Message`` objects end-to-end, at any round size
 (small rounds bucket the columns in plain Python instead of via argsort —
-same observables, still object-free).
+same observables, still object-free).  A clean *typed* round — one payload
+column, one kind tag, no receiver over capacity — is returned whole as a
+:class:`~repro.ncc.message.RoundInbox`: the permuted columns in CSR form,
+whose per-node ``InboxBatch`` views are built only if something looks a
+node up, and which a typed whole-round submission reaches with no
+per-sender or per-receiver Python at all.
 
 A round with *any* anomaly replays the canonical walks of
 :class:`~repro.ncc.engine.RoundEngine`, which keeps the violation-ledger
@@ -47,7 +52,7 @@ import numpy as _np
 from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BuilderBatches, InboxBatch, Message
+from .message import BuilderBatches, InboxBatch, Message, RoundInbox
 from .message import _count_boxes
 
 _TYPED_FALLBACKS = METRICS.counter("ncc.typed_fallbacks")
@@ -246,39 +251,37 @@ class BatchedEngine(RoundEngine):
         per-group batch objects at all on the clean path.  Anomalous or
         empty rounds finalize normally and replay through
         :meth:`run_round` (identical observables by construction)."""
-        if not builder._groups:
-            return self.run_round(builder.batches())
-        if builder._dtype is not None:
-            # Typed builder filled by one whole-round add_arrays call: the
-            # sorted sender/dst/value columns are already on the builder, so
-            # deliver straight off them — no per-sender spans, no structured
-            # concatenation (whose fixed per-array cost dwarfs these ~3-long
-            # chunks).
-            bulk = builder._typed_bulk
-            if bulk is not None:
-                senders, counts, dst, pay = bulk
-                net = self.net
-                n = net.n
-                max_sent = max(counts)
-                if (
-                    0 <= senders[0]
-                    and senders[-1] < n
-                    and max_sent <= net.capacity
-                    and builder._bits_max <= net.message_bits
-                    and int(dst.min()) >= 0
-                    and int(dst.max()) < n
-                ):
+        bulk = builder._bulk
+        if bulk is not None:
+            # A whole typed round from one add_arrays call: its columns are
+            # already sorted by sender, so the send-side checks are range
+            # checks plus one bincount, and delivery runs straight off
+            # them — no per-sender spans, no concatenation.
+            src, dst, pay, _bits = bulk
+            net = self.net
+            n = net.n
+            if (
+                0 <= int(src[0])
+                and int(src[-1]) < n
+                and builder._bits_max <= net.message_bits
+                and int(dst.min()) >= 0
+                and int(dst.max()) < n
+            ):
+                max_sent = int(_np.bincount(src).max())
+                if max_sent <= net.capacity:
                     stats = net.stats
                     if max_sent > stats.max_sent_per_round:
                         stats.max_sent_per_round = max_sent
                     delivered = self._deliver_deferred_np(
-                        senders, [builder.kind], counts, len(dst), dst, pay
+                        src, builder.kind, len(dst), dst, pay
                     )
                     builder._spent = True
                     return delivered, len(dst), builder._bits_sum
-            # Otherwise the chunked group layout finalizes into typed
-            # whole-span batches, and run_round's trusted BuilderBatches
-            # path delivers them without leaving ndarrays.
+            return self.run_round(builder.batches())
+        if not builder._groups or builder._dtype is not None:
+            # Empty rounds, and the chunked typed group layout: finalize
+            # into (typed whole-span) batches, which run_round's trusted
+            # BuilderBatches path delivers without leaving ndarrays.
             return self.run_round(builder.batches())
         net = self.net
         n = net.n
@@ -361,7 +364,11 @@ class BatchedEngine(RoundEngine):
                 if max_sent > stats.max_sent_per_round:
                     stats.max_sent_per_round = max_sent
                 return self._deliver_deferred_np(
-                    senders, kcols, counts, m_count, dst, pay
+                    _src_column(senders, counts),
+                    self._round_kinds(kcols, counts),
+                    m_count,
+                    dst,
+                    pay,
                 )
             # Mixed typed/object columns: box the typed sides — the
             # object-fallback contract — and continue on the generic list
@@ -402,7 +409,11 @@ class BatchedEngine(RoundEngine):
             if max_sent > stats.max_sent_per_round:
                 stats.max_sent_per_round = max_sent
             return self._deliver_deferred_np(
-                senders, kcols, counts, m_count, dst, pay_l
+                _src_column(senders, counts),
+                self._round_kinds(kcols, counts),
+                m_count,
+                dst,
+                pay_l,
             )
         for dsts in dcols:
             if min(dsts) < 0 or max(dsts) >= n:
@@ -424,57 +435,69 @@ class BatchedEngine(RoundEngine):
                 return None
         return k0
 
-    def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
-        """Argsort-bucketed delivery of the round's columns: each inbox is
-        an :class:`InboxBatch` span over the permuted (src, payload, kind)
-        columns — no object column, no ``Message``.  The src column stays
-        an int64 array (boxed lazily on access) and the bits column is
-        dropped entirely — sizes are re-derived on demand, which delivered
-        inboxes almost never need."""
+    @classmethod
+    def _round_kinds(cls, kcols, counts):
+        """The round's kind tags: the shared scalar tag, or one flat
+        per-message column when tags are mixed."""
+        kind = cls._round_kind_scalar(kcols)
+        if kind is not None:
+            return kind
+        flat: list[str] = []
+        for i, k in enumerate(kcols):
+            flat += k if type(k) is list else [k] * counts[i]
+        return flat
+
+    def _deliver_deferred_np(self, src, kinds, m_count, dst, pay_l):
+        """Argsort-bucketed delivery of the round's flat ``(src, dst,
+        payload)`` columns (``kinds``: the round's scalar tag or a flat
+        per-message column) — no object column, no ``Message``.  The bits
+        column is dropped entirely: sizes are re-derived on demand, which
+        delivered inboxes almost never need.
+
+        A clean typed round (one payload column, one kind tag, no receiver
+        over capacity) comes back whole as a :class:`RoundInbox`; any
+        other round as the ``dict`` of its per-node views."""
         net = self.net
         stats = net.stats
         per_dst = _np.bincount(dst)
         dsts_present = _np.flatnonzero(per_dst)
         group_counts = per_dst[dsts_present]
         order = _np.argsort(dst, kind="stable")
-        ends = _np.cumsum(group_counts)
-        starts = ends - group_counts
+        offsets = _np.zeros(len(group_counts) + 1, dtype=_np.int64)
+        _np.cumsum(group_counts, out=offsets[1:])
         max_recv = int(group_counts.max())
-        arrival = _np.argsort(order[starts], kind="stable")
+        # order[offsets[j]] is the flat index of group j's first message:
+        # the key of first-arrival order.
+        firsts = order.take(offsets[:-1])
 
-        if type(pay_l) is list:
-            pay_perm = (
-                _np.fromiter(pay_l, dtype=object, count=m_count).take(order).tolist()
-            )
-        else:
+        typed = type(pay_l) is not list
+        if typed:
             # Typed round: the permuted payload column stays an ndarray and
             # the delivered spans are typed — nothing is boxed here.
             pay_perm = pay_l.take(order)
-        snd = _np.fromiter(senders, _np.int64, len(senders))
-        cnt = _np.fromiter(counts, _np.int64, len(counts))
-        src_perm = _np.repeat(snd, cnt).take(order)
-        kind_perm = self._round_kind_scalar(kcols)
-        if kind_perm is None:
-            kinds_l: list[str] = []
-            for i, k in enumerate(kcols):
-                kinds_l += k if type(k) is list else [k] * counts[i]
-            kind_perm = (
-                _np.fromiter(kinds_l, dtype=object, count=m_count).take(order).tolist()
+        else:
+            pay_perm = (
+                _np.fromiter(pay_l, dtype=object, count=m_count).take(order).tolist()
             )
-
-        delivered = InboxBatch._over_spans(
-            src_perm, pay_perm, kind_perm,
-            dsts_present.tolist(), starts.tolist(), ends.tolist(),
-            arrival.tolist(),
+        kind_perm = kinds
+        if type(kinds) is not str:
+            kind_perm = (
+                _np.fromiter(kinds, dtype=object, count=m_count).take(order).tolist()
+            )
+        inbox = RoundInbox(
+            dsts_present, offsets, src.take(order), pay_perm, kind_perm, firsts
         )
-        if max_recv <= net.capacity:
-            if max_recv > stats.max_received_per_round:
-                stats.max_received_per_round = max_recv
-            return delivered
-        # Overloaded receivers: the canonical receive walk keeps ledger
-        # order and DROP rng draws identical (sampling an InboxBatch draws
-        # the same indices a list would; only then are messages built).
-        return self._recv_walk(delivered)
+        if max_recv > net.capacity:
+            # Overloaded receivers: the canonical receive walk keeps ledger
+            # order and DROP rng draws identical (sampling an InboxBatch
+            # draws the same indices a list would; only then are messages
+            # built).
+            return self._recv_walk(inbox)
+        if max_recv > stats.max_received_per_round:
+            stats.max_received_per_round = max_recv
+        if typed and type(kind_perm) is str:
+            return inbox
+        return inbox._dict()
 
     def _deliver_deferred_py(self, senders, dcols, pcols, kcols):
         """Plain-Python columnar bucketing for small deferred rounds: one
@@ -557,6 +580,14 @@ class BatchedEngine(RoundEngine):
         # Overloaded receivers: run the canonical receive walk over the
         # (still bucketed) spans for ledger/rng parity.
         return self._recv_walk(inboxes)
+
+
+def _src_column(senders, counts):
+    """The flat sender column of per-sender groups of ``counts`` messages."""
+    return _np.repeat(
+        _np.fromiter(senders, _np.int64, len(senders)),
+        _np.fromiter(counts, _np.int64, len(counts)),
+    )
 
 
 register_engine(BatchedEngine.name, BatchedEngine)

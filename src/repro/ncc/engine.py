@@ -59,7 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 InboxT = list[Message] | InboxBatch
 
 #: ``run_round`` result: (delivered inboxes, sent messages, sent bits).
-RoundResult = tuple[dict[int, InboxT], int, int]
+#: The inboxes are a ``dict`` or, for a clean typed round, a
+#: :class:`~repro.ncc.message.RoundInbox` (a Mapping equal to that dict).
+RoundResult = tuple[Mapping[int, InboxT], int, int]
 
 
 class RoundEngine:
@@ -149,7 +151,7 @@ class RoundEngine:
         return inboxes
 
     def _recv_walk(
-        self, inboxes: dict[int, list[Message]]
+        self, inboxes: Mapping[int, list[Message]]
     ) -> dict[int, list[Message]]:
         """Enforce receive capacity per inbox, in insertion order."""
         net = self.net

@@ -16,10 +16,15 @@ permuted columns as one — so a clean batched-engine round never constructs
 a single ``Message`` end-to-end.  Consumers that only need the payload
 column read it via :meth:`InboxBatch.payloads` (or the engine-agnostic
 :func:`payloads_of`) without triggering materialization.
+
+:class:`RoundInbox` carries a clean typed round whole: the delivered
+columns in CSR form, read as two columns by consumers that take the round
+at once, and as the usual ``dict[int, InboxBatch]`` by everyone else.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping as _MappingABC
 from collections.abc import Sequence as _SequenceABC
 from typing import Any, Iterable, Sequence
 
@@ -302,6 +307,34 @@ def _typed_dtype_ok(dt) -> bool:
     return True
 
 
+def typed_column(payloads: Sequence[Any], dtype: Any):
+    """``payloads`` as a column of the declared ``dtype``, or ``None`` when
+    the conversion is lossy.
+
+    Lossy means numpy rejects a value, or boxing the column back would not
+    return every payload with its own type and value: a float truncated
+    into an int field, an int widened into a float field, a string cut to
+    the field width.  Any such payload would reach its receiver changed,
+    or be charged different bits than the object path charges.
+    """
+    try:
+        arr = _np.array(payloads, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if arr.shape != (len(payloads),):
+        return None
+    for b, p in zip(arr.tolist(), payloads):
+        if type(b) is tuple:
+            if type(p) is not tuple or len(p) != len(b):
+                return None
+            for x, y in zip(b, p):
+                if type(x) is not type(y) or x != y:
+                    return None
+        elif type(b) is not type(p) or b != p:
+            return None
+    return arr
+
+
 class Message:
     """One message in flight: ``src -> dst`` carrying ``payload``.
 
@@ -471,41 +504,6 @@ class InboxBatch(_SequenceABC):
         self._mat = None
         self._bits_agg = bits_agg
         return self
-
-    @classmethod
-    def _over_spans(cls, srcs, payloads, kinds, dsts, starts, ends, arrival,
-                    cols=None):
-        """One round's delivered ``{dst: span}`` dict, built in bulk.
-
-        The engines' clean-round delivery builds one span per receiving
-        node; at n ≥ 10^5 the per-span :meth:`_over` call overhead (frame
-        + argument packing per inbox) dominates the merge, so this builds
-        the whole dict in one tight loop with the allocator bound locally.
-        ``dsts``/``starts``/``ends`` are per-group int lists; ``arrival``
-        gives the dict insertion order.  With ``cols``, group ``j`` reads
-        its ``(srcs, payloads)`` backing columns from ``cols[j]`` (the
-        sharded engine's per-block columns) instead of the shared
-        ``srcs``/``payloads``.
-        """
-        new = object.__new__
-        delivered: dict[int, "InboxBatch"] = {}
-        for j in arrival:
-            self = new(cls)
-            if cols is not None:
-                srcs, payloads = cols[j]
-            d = dsts[j]
-            self._srcs = srcs
-            self._dsts = d
-            self._payloads = payloads
-            self._bits = None
-            self._kinds = kinds
-            self._start = starts[j]
-            self._end = ends[j]
-            self._msgs = None
-            self._mat = None
-            self._bits_agg = None
-            delivered[d] = self
-        return delivered
 
     @classmethod
     def _of_messages(cls, msgs, dst, start, end):
@@ -789,73 +787,104 @@ class InboxBatch(_SequenceABC):
         return f"InboxBatch({list(self)!r})"
 
 
-def gather_typed_spans(inboxes):
-    """One round's typed inboxes as whole columns: ``(dsts, payloads)``.
+class RoundInbox(_MappingABC):
+    """One clean typed round's delivery, kept as whole-round columns.
 
-    When every inbox is a typed-column :class:`InboxBatch` whose spans are
-    views of a shared payload column and together tile it exactly — the
-    layout the batched engine delivers — this returns the destination
-    column (one id per message, int64) and that payload column directly:
-    no per-inbox array handling, no copies, no boxes.  The sharded engine
-    delivers the same layout in per-shard pieces (one backing column per
-    destination-shard block, hosts in disjoint ascending ranges); those
-    concatenate — in min-host block order, which is exactly the
-    single-process destination-ascending order — into one column pair.
-    Returns ``None`` for any other layout (object columns, message-backed
-    inboxes, merged rounds, the reference engine); callers keep their
-    per-inbox loop as the fallback.
+    The batched and sharded engines return this for a round whose payloads
+    are one typed column under one kind tag, with no receiver over
+    capacity.  It is CSR-shaped: ``dsts`` lists the receiving nodes in
+    ascending id order, and receiver ``dsts[j]`` gets rows
+    ``offsets[j]:offsets[j + 1]`` of the permuted ``srcs``/``payloads``
+    columns, in round flat (send) order.  ``firsts[j]`` is the round flat
+    index of that receiver's first message, the key of first-arrival
+    order.
+
+    Observably it is the ``dict[int, InboxBatch]`` other rounds deliver: a
+    read-only Mapping that iterates receivers in first-arrival order, each
+    value an :class:`InboxBatch` span over the shared columns, equal to a
+    dict with the same contents in both directions.  Those per-node views
+    and the arrival order are built on the first lookup or iteration;
+    consumers that take the round whole read :meth:`columns` and never
+    build them.  (The batched engine also builds one, over object or
+    per-message kind columns, just to make the views of other large
+    rounds; those rounds are returned as the views' plain dict.)
     """
-    if not inboxes:
-        return None
-    # Group spans by backing column (identity: spans *share* their base).
-    bases: dict[int, list] = {}  # id(base) -> [base, hosts, starts, ends]
-    for host, rec in inboxes.items():
-        if type(rec) is not InboxBatch or rec._msgs is not None:
-            return None
-        pays = rec._payloads
-        if type(pays) is list:
-            return None
-        ent = bases.get(id(pays))
-        if ent is None:
-            bases[id(pays)] = ent = [pays, [], [], []]
-        ent[1].append(host)
-        ent[2].append(rec._start)
-        ent[3].append(rec._end)
-    # Deterministic base order: ascending smallest host.  Bases must cover
-    # disjoint host ranges for that to be a meaningful total order (true
-    # of shard blocks; anything stranger falls back).
-    groups = sorted(bases.values(), key=lambda ent: min(ent[1]))
-    prev_hi = -1
-    dcols = []
-    pcols = []
-    for base, hosts, starts, ends in groups:
-        if min(hosts) <= prev_hi:
-            return None
-        prev_hi = max(hosts)
-        order = sorted(range(len(hosts)), key=starts.__getitem__)
-        pos = 0
-        hs: list[int] = []
-        sizes: list[int] = []
-        for i in order:
-            if starts[i] != pos:
-                return None
-            pos = ends[i]
-            hs.append(hosts[i])
-            sizes.append(pos - starts[i])
-        if pos != len(base):
-            return None
-        dcols.append(
-            _np.repeat(
-                _np.fromiter(hs, _np.int64, len(hs)),
-                _np.fromiter(sizes, _np.int64, len(sizes)),
-            )
-        )
-        pcols.append(base)
-    if len(pcols) == 1:
-        return dcols[0], pcols[0]
-    if any(p.dtype != pcols[0].dtype for p in pcols):
-        return None
-    return _np.concatenate(dcols), _np.concatenate(pcols)
+
+    __slots__ = ("_dsts", "_offsets", "_srcs", "_payloads", "_kind", "_firsts", "_views")
+
+    def __init__(self, dsts, offsets, srcs, payloads, kind: str | list[str], firsts):
+        self._dsts = dsts
+        self._offsets = offsets
+        self._srcs = srcs
+        self._payloads = payloads
+        self._kind = kind
+        self._firsts = firsts
+        self._views: dict[int, InboxBatch] | None = None
+
+    def columns(self):
+        """``(dst, payloads)``: the receiving node of every message (int64,
+        ascending) and the payload column, row for row.  No view, no
+        ``Message`` and no payload box is made."""
+        return _np.repeat(self._dsts, _np.diff(self._offsets)), self._payloads
+
+    def _dict(self) -> dict[int, InboxBatch]:
+        """The per-node views in first-arrival order (built once)."""
+        views = self._views
+        if views is None:
+            views = self._views = {}
+            new = object.__new__
+            dsts = self._dsts.tolist()
+            offsets = self._offsets.tolist()
+            srcs, pays, kind = self._srcs, self._payloads, self._kind
+            for j in _np.argsort(self._firsts, kind="stable").tolist():
+                box = new(InboxBatch)
+                d = dsts[j]
+                box._srcs = srcs
+                box._dsts = d
+                box._payloads = pays
+                box._bits = None
+                box._kinds = kind
+                box._start = offsets[j]
+                box._end = offsets[j + 1]
+                box._msgs = None
+                box._mat = None
+                box._bits_agg = None
+                views[d] = box
+        return views
+
+    def __len__(self) -> int:
+        return len(self._dsts)
+
+    def __getitem__(self, key):
+        return self._dict()[key]
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __contains__(self, key) -> bool:
+        return key in self._dict()
+
+    def get(self, key, default=None):
+        return self._dict().get(key, default)
+
+    def keys(self):
+        return self._dict().keys()
+
+    def values(self):
+        return self._dict().values()
+
+    def items(self):
+        return self._dict().items()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RoundInbox):
+            other = other._dict()
+        return self._dict() == other
+
+    __hash__ = None  # like a dict
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RoundInbox({self._dict()!r})"
 
 
 def _norm_id_column(ids: int | Sequence[int], k: int) -> int | list[int]:
@@ -940,6 +969,11 @@ class BatchBuilder:
     object exists unless the reference walk (or a consumer) materializes
     one.
 
+    A typed round submitted whole (one :meth:`add_arrays` call into an
+    empty builder) stays as its sender-sorted columns; the per-sender
+    groups are only split off ("spilled") when something needs them: a
+    further submission, :meth:`batches`, :meth:`senders` or boxing.
+
     A builder is single-shot: it belongs to one round.  ``kind`` set at
     construction tags every message; :meth:`add` may override it per message
     (e.g. routers mixing data and token traffic from one sender).
@@ -947,7 +981,7 @@ class BatchBuilder:
 
     __slots__ = (
         "kind", "_groups", "_spent", "_bits_sum", "_bits_max",
-        "_dtype", "_typed_bulk",
+        "_dtype", "_bulk",
     )
 
     def __init__(self, kind: str = "", *, dtype: Any = None):
@@ -977,19 +1011,48 @@ class BatchBuilder:
             self._dtype = dtype
         else:
             self._dtype = None
-        # Whole-round sorted columns kept by a single add_arrays call —
-        # (senders, counts, dsts, values) — letting the batched engine
-        # deliver straight off them with zero per-sender array handling.
-        # Any other submission into the builder invalidates it.
-        self._typed_bulk = None
+        # A whole typed round from one add_arrays call into an empty
+        # builder: its (srcs, dsts, values, bits) columns, sorted by sender.
+        # The batched engine delivers straight off them; anything that
+        # needs per-sender groups spills them first (see _spill).
+        self._bulk = None
 
-    def add(self, src: int, dst: int, payload: Any, kind: str | None = None) -> None:
-        """Queue one ``src -> dst`` message carrying ``payload``."""
+    def _check_open(self) -> None:
         if self._spent:
             raise TypeError(
                 "BatchBuilder already finalized (its batches share the "
                 "builder's columns; adding would corrupt them)"
             )
+
+    def _typed_values(self, values: Any):
+        """``values`` as a column of the declared dtype, or ``TypeError``.
+
+        A pre-built ndarray must carry the dtype exactly (``asarray`` would
+        cast it silently: float -> int truncates); any other sequence must
+        convert losslessly (:func:`typed_column`).  Either way a mismatch
+        is a caller bug, not data.
+        """
+        dt = self._dtype
+        if isinstance(values, _np.ndarray):
+            if values.dtype != dt:
+                raise TypeError(
+                    f"value column dtype {values.dtype} does not match the "
+                    f"declared payload dtype {dt}"
+                )
+            return values
+        values = list(values)
+        varr = typed_column(values, dt)
+        if varr is None:
+            raise TypeError(
+                f"value column does not convert losslessly to the declared "
+                f"payload dtype {dt}"
+            )
+        return varr
+
+    def add(self, src: int, dst: int, payload: Any, kind: str | None = None) -> None:
+        """Queue one ``src -> dst`` message carrying ``payload``."""
+        if self._spent:  # _check_open, inlined: the hottest submission call
+            self._check_open()
         if self._dtype is not None:
             self._box_typed_groups()
         # Same validation and sizing the Message constructor
@@ -1033,11 +1096,7 @@ class BatchBuilder:
         register the sender (``bool(builder)`` stays faithful to "has any
         message", which round loops use as their stop condition).
         """
-        if self._spent:
-            raise TypeError(
-                "BatchBuilder already finalized (its batches share the "
-                "builder's columns; adding would corrupt them)"
-            )
+        self._check_open()
         if self._dtype is not None:
             self._box_typed_groups()
         if type(src) is not int:
@@ -1079,20 +1138,16 @@ class BatchBuilder:
     def add_array(self, src: int, dsts: Any, values: Any) -> None:
         """Queue a run of typed messages from one sender (parallel arrays).
 
-        ``values`` must match the builder's declared dtype; bit sizes are
-        derived per-column by :func:`typed_payload_bits` with no Python
-        per element.  On a builder without an active dtype (undeclared,
-        typed payloads disabled, or degraded by a mixed submission) the
-        columns are boxed on entry and routed through :meth:`add_many` —
-        the object-fallback contract.
+        ``values`` must match the builder's declared dtype (an ndarray of
+        exactly that dtype, or a sequence that converts losslessly); bit
+        sizes are derived per-column by :func:`typed_payload_bits` with no
+        Python per element.  On a builder without an active dtype
+        (undeclared, typed payloads disabled, or degraded by a mixed
+        submission) the columns are boxed on entry and routed through
+        :meth:`add_many` — the object-fallback contract.
         """
-        if self._spent:
-            raise TypeError(
-                "BatchBuilder already finalized (its batches share the "
-                "builder's columns; adding would corrupt them)"
-            )
-        dt = self._dtype
-        if dt is None:
+        self._check_open()
+        if self._dtype is None:
             global _box_count
             if isinstance(values, _np.ndarray):
                 _box_count += len(values)
@@ -1110,25 +1165,23 @@ class BatchBuilder:
             raise TypeError(f"node ids must be ints, got dtype {darr.dtype}")
         if darr.dtype != _np.int64:
             darr = darr.astype(_np.int64)
-        if isinstance(values, _np.ndarray) and values.dtype != dt:
-            # asarray would cast silently (float -> int truncates); a
-            # mismatched pre-built column is a caller bug, not data.
-            raise TypeError(
-                f"value column dtype {values.dtype} does not match the "
-                f"declared payload dtype {dt}"
-            )
-        varr = _np.asarray(values, dtype=dt)
+        varr = self._typed_values(values)
         if len(darr) != len(varr):
             raise ValueError("add_array requires parallel columns of equal length")
         if len(darr) == 0:
             return
+        barr = self._account(varr)
+        self._spill()
+        self._push_typed(src, darr, varr, barr)
+
+    def _account(self, varr):
+        """Size a typed value column and add it to the round's bit totals."""
         barr = typed_payload_bits(varr)
         self._bits_sum += int(barr.sum())
         mx = int(barr.max())
         if mx > self._bits_max:
             self._bits_max = mx
-        self._typed_bulk = None
-        self._push_typed(src, darr, varr, barr)
+        return barr
 
     def _push_typed(self, src: int, darr, varr, barr) -> None:
         """Append one sender's typed column spans (bits already accounted)."""
@@ -1146,11 +1199,7 @@ class BatchBuilder:
         Senders are grouped in ascending-id order (a stable sort over the
         sender column), each keeping its submissions in input order.
         """
-        if self._spent:
-            raise TypeError(
-                "BatchBuilder already finalized (its batches share the "
-                "builder's columns; adding would corrupt them)"
-            )
+        self._check_open()
         if self._dtype is None:
             global _box_count
             if isinstance(values, _np.ndarray):
@@ -1174,12 +1223,7 @@ class BatchBuilder:
         if sarr.dtype != _np.int64:
             sarr = sarr.astype(_np.int64)
         darr = _np.asarray(dsts)
-        if isinstance(values, _np.ndarray) and values.dtype != self._dtype:
-            raise TypeError(
-                f"value column dtype {values.dtype} does not match the "
-                f"declared payload dtype {self._dtype}"
-            )
-        varr = _np.asarray(values, dtype=self._dtype)
+        varr = self._typed_values(values)
         if not (len(sarr) == len(darr) == len(varr)):
             raise ValueError("add_arrays requires parallel columns of equal length")
         if len(sarr) == 0:
@@ -1189,31 +1233,34 @@ class BatchBuilder:
         if darr.dtype != _np.int64:
             darr = darr.astype(_np.int64)
         order = _np.argsort(sarr, kind="stable")
-        ssort = sarr.take(order)
-        dsort = darr.take(order)
-        vsort = varr.take(order)
         # Size the whole round's payload column in one vectorized pass —
         # per-group sizing would pay numpy's fixed per-call cost thousands
-        # of times on tiny spans (the n=4096 router emits ~2.8k senders of
-        # ~3 messages per round) and dominate the run.
-        barr = typed_payload_bits(vsort)
-        self._bits_sum += int(barr.sum())
-        mx = int(barr.max())
-        if mx > self._bits_max:
-            self._bits_max = mx
-        uniq, starts = _np.unique(ssort, return_index=True)
-        ends = _np.append(starts[1:], len(ssort))
-        bulk_ok = not self._groups
+        # of times on tiny spans.
+        vsort = varr.take(order)
+        bulk = (sarr.take(order), darr.take(order), vsort, self._account(vsort))
+        if not self._groups and self._bulk is None:
+            self._bulk = bulk
+            return
+        self._spill()
+        self._push_sorted(*bulk)
+
+    def _push_sorted(self, ssort, dsort, vsort, barr) -> None:
+        """Push sender-sorted typed columns as per-sender spans."""
+        m = len(ssort)
+        # Sender boundaries off the already-sorted column (no second sort).
+        starts = _np.flatnonzero(ssort[1:] != ssort[:-1]) + 1
+        lo_l = [0] + starts.tolist()
+        hi_l = lo_l[1:] + [m]
         push = self._push_typed
-        for s, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
+        for s, lo, hi in zip(ssort.take(lo_l).tolist(), lo_l, hi_l):
             push(s, dsort[lo:hi], vsort[lo:hi], barr[lo:hi])
-        # A single whole-round submission: keep the sorted columns so the
-        # batched engine can deliver without re-assembling per-sender spans.
-        self._typed_bulk = (
-            (uniq.tolist(), (ends - starts).tolist(), dsort, vsort)
-            if bulk_ok
-            else None
-        )
+
+    def _spill(self) -> None:
+        """Split a kept whole-round submission into per-sender groups."""
+        bulk = self._bulk
+        if bulk is not None:
+            self._bulk = None
+            self._push_sorted(*bulk)
 
     def _box_typed_groups(self) -> None:
         """Degrade every typed group to the object layout (counted boxes).
@@ -1223,6 +1270,7 @@ class BatchBuilder:
         group order and per-group message order.
         """
         global _box_count
+        self._spill()
         kind = self.kind
         for src, g in self._groups.items():
             dsts: list[int] = []
@@ -1235,17 +1283,19 @@ class BatchBuilder:
                 _box_count += len(varr)
             self._groups[src] = [dsts, pays, bits, kind]
         self._dtype = None
-        self._typed_bulk = None
 
     def __len__(self) -> int:
+        if self._bulk is not None:
+            return len(self._bulk[0])
         if self._dtype is not None:
             return sum(len(c) for g in self._groups.values() for c in g[0])
         return sum(len(g[0]) for g in self._groups.values())
 
     def __bool__(self) -> bool:
-        return bool(self._groups)
+        return self._bulk is not None or bool(self._groups)
 
     def senders(self) -> list[int]:
+        self._spill()
         return list(self._groups)
 
     def batches(self) -> BuilderBatches:
@@ -1258,6 +1308,7 @@ class BatchBuilder:
         afterwards — further ``add`` calls raise (a stale alias would
         silently corrupt the frozen batches' cached columns).
         """
+        self._spill()
         self._spent = True
         # ``int(src)`` normalizes a (pathological) bool sender key so the
         # finalize product can be fed to an engine as-is — the same

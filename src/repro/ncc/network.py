@@ -131,20 +131,25 @@ class NCCNetwork:
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------
-    def exchange(self, outgoing: OutgoingT) -> dict[int, InboxT]:
+    def exchange(self, outgoing: OutgoingT) -> Mapping[int, InboxT]:
         """Run one synchronous round.
 
         ``outgoing`` maps each sender to its messages, or is a flat iterable
         of messages, or a :class:`~repro.ncc.message.BatchBuilder` holding
         the round's traffic in columnar form.
 
-        Returns the inbox of every node that received at least one message,
-        keyed by receiver in first-arrival order.  The model says messages
-        are received "at the beginning of the next round" (Section 1.1);
-        since the caller drives rounds explicitly, that simply means the
-        return value is available to the caller's next iteration.  Each
-        inbox is ``list[Message]``-compatible but not necessarily a list:
-        the batched engine delivers lazy
+        Returns a read-only ``Mapping`` from every node that received at
+        least one message to its inbox, iterating receivers in
+        first-arrival order.  The model says messages are received "at the
+        beginning of the next round" (Section 1.1); since the caller drives
+        rounds explicitly, that simply means the return value is available
+        to the caller's next iteration.  The mapping is a plain ``dict``
+        except for clean typed rounds under the batched and sharded
+        engines, which return a :class:`~repro.ncc.message.RoundInbox`
+        (equal to that dict; ``columns()`` reads the whole round without
+        building per-node views).  Each inbox is
+        ``list[Message]``-compatible but not necessarily a list: the
+        batched engine delivers lazy
         :class:`~repro.ncc.message.InboxBatch` column views on clean rounds
         (element access materializes a ``Message``; ``payloads()`` and
         friends read the columns without constructing any).
@@ -213,7 +218,9 @@ class NCCNetwork:
 
         return self._finish_round(per_sender)
 
-    def _finish_round(self, per_sender: Mapping[int, list[Message]]) -> dict[int, InboxT]:
+    def _finish_round(
+        self, per_sender: Mapping[int, list[Message]]
+    ) -> Mapping[int, InboxT]:
         """Engine dispatch + round bookkeeping shared by every submission
         form of :meth:`exchange`."""
         tr = _tracer.CURRENT

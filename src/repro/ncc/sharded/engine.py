@@ -7,7 +7,8 @@ partitioned into ``k`` contiguous shards (``shard_of(d) = d*k//n``); per
 round the parent splits the typed ``(src, dst, payload)`` columns into
 per-destination-shard blocks, ships them through one shared-memory block
 shuffle (:meth:`~repro.ncc.sharded.workers.ShardPool.shuffle`), and merges
-the returned span tables into the delivered ``InboxBatch`` dict.  A clean
+the returned span tables into the delivered
+:class:`~repro.ncc.message.RoundInbox`.  A clean
 typed sharded round constructs zero ``Message`` objects, same as
 single-process.
 
@@ -18,9 +19,10 @@ value:
 
 * within a destination, all messages live in one block (shards partition
   destinations) in round flat order — inbox-internal order is untouched;
-* across destinations, the global dict order is recovered by sorting all
-  blocks' groups on ``first`` (each group's global flat index), exactly
-  the ``argsort(order[starts])`` arrival key of the single-process path;
+* across destinations, blocks cover disjoint ascending id ranges, so
+  concatenating them gives the single-process CSR columns, and each
+  group's ``first`` (its global flat index) is exactly the
+  ``order[offsets]`` first-arrival key of the single-process path;
 * all statistics are the same aggregates (``max_recv`` is the max of the
   block maxima), and every anomaly — malformed input, send/bits/receive
   violations, DROP sampling — takes the *inherited* canonical walks of
@@ -41,7 +43,7 @@ from ...telemetry import tracer as _tracer
 from ...telemetry.metrics import METRICS
 from ..batched import BatchedEngine
 from ..engine import register_engine
-from ..message import InboxBatch
+from ..message import RoundInbox
 
 _DEGRADATIONS = METRICS.counter("sharded.degradations")
 _SHARD_INCIDENTS = METRICS.counter("sharded.incidents")
@@ -133,43 +135,33 @@ class ShardedEngine(BatchedEngine):
         return self._pool
 
     # ------------------------------------------------------------------
-    def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
+    def _deliver_deferred_np(self, src, kinds, m_count, dst, pay_l):
         """Distribute the clean typed delivery; inherit everything else.
 
         Both columnar call sites (``run_builder``'s whole-round typed bulk
         and ``_deliver_deferred``'s uniform typed path) land here with the
         destination column already bounds-checked and the send watermark
         committed, so the only remaining work is bucketing + delivery —
-        exactly the part that shards."""
+        exactly the part that shards.  Mixed-kind rounds keep the
+        single-process path."""
         if (
             self._disabled
             or m_count < self._cutoff
             or type(pay_l) is list
+            or type(kinds) is not str
         ):
-            return super()._deliver_deferred_np(
-                senders, kcols, counts, m_count, dst, pay_l
-            )
-        kind = self._round_kind_scalar(kcols)
-        if kind is None:  # mixed-kind rounds keep the single-process path
-            return super()._deliver_deferred_np(
-                senders, kcols, counts, m_count, dst, pay_l
-            )
+            return super()._deliver_deferred_np(src, kinds, m_count, dst, pay_l)
         pool = self._ensure_pool()
         if pool is None:
-            return super()._deliver_deferred_np(
-                senders, kcols, counts, m_count, dst, pay_l
-            )
-        return self._deliver_sharded(pool, senders, kind, counts, m_count, dst, pay_l)
+            return super()._deliver_deferred_np(src, kinds, m_count, dst, pay_l)
+        return self._deliver_sharded(pool, src, kinds, m_count, dst, pay_l)
 
-    def _deliver_sharded(self, pool, senders, kind, counts, m_count, dst, pay):
+    def _deliver_sharded(self, pool, src_flat, kind, m_count, dst, pay):
         """One all-to-all block shuffle, then the byte-identical merge."""
         net = self.net
         stats = net.stats
         n = net.n
         k = self.shards
-        snd = _np.fromiter(senders, _np.int64, len(senders))
-        cnt = _np.fromiter(counts, _np.int64, len(counts))
-        src_flat = _np.repeat(snd, cnt)
 
         # Split the round's flat columns by destination shard.  The stable
         # argsort keeps each block in round flat order, and the selection
@@ -207,38 +199,37 @@ class ShardedEngine(BatchedEngine):
             # batched delivery instead of paying the split for nothing.
             self._degrade("all-workers-dead")
 
-        # Merge: concatenating the blocks' group tables and sorting on the
-        # global flat index of each group's first message recovers the
-        # single-process first-arrival dict order (distinct keys, so the
-        # sort is a permutation); each inbox is a span over its own
-        # block's permuted columns — InboxBatch equality is element-wise,
-        # so per-block backing columns are observably identical to the
-        # single whole-round column.
-        firsts = _np.concatenate([r[3] for r in results])
-        arrival = _np.argsort(firsts, kind="stable")
-        dst_l: list[int] = []
-        starts_l: list[int] = []
-        ends_l: list[int] = []
-        cols: list[tuple] = []
-        max_recv = 0
-        for dsts_r, starts_r, ends_r, _first, src_perm, pay_perm, mr in results:
-            dst_l += dsts_r.tolist()
-            starts_l += starts_r.tolist()
-            ends_l += ends_r.tolist()
-            cols += [(src_perm, pay_perm)] * len(dsts_r)
-            if mr > max_recv:
-                max_recv = mr
-        delivered = InboxBatch._over_spans(
-            None, None, kind, dst_l, starts_l, ends_l, arrival.tolist(),
-            cols=cols,
+        # Merge: the blocks cover disjoint, ascending destination ranges in
+        # block order, so concatenating their group tables and permuted
+        # columns gives exactly the single-process CSR layout; each
+        # block's ``first`` column (global flat index of each group's
+        # first message) is the first-arrival key.
+        offsets = []
+        base = 0
+        for r in results:
+            offsets.append(r[1] + base)
+            base += len(r[4])
+        offsets.append(_np.array([m_count], dtype=_np.int64))
+        inbox = RoundInbox(
+            _cat([r[0] for r in results]),
+            _np.concatenate(offsets),
+            _cat([r[4] for r in results]),
+            _cat([r[5] for r in results]),
+            kind,
+            _cat([r[3] for r in results]),
         )
-        if max_recv <= net.capacity:
-            if max_recv > stats.max_received_per_round:
-                stats.max_received_per_round = max_recv
-            return delivered
-        # Overloaded receivers: the inherited canonical receive walk keeps
-        # ledger order and DROP rng draws byte-identical.
-        return self._recv_walk(delivered)
+        max_recv = max(r[6] for r in results)
+        if max_recv > net.capacity:
+            # Overloaded receivers: the inherited canonical receive walk
+            # keeps ledger order and DROP rng draws byte-identical.
+            return self._recv_walk(inbox)
+        if max_recv > stats.max_received_per_round:
+            stats.max_received_per_round = max_recv
+        return inbox
+
+
+def _cat(cols):
+    return cols[0] if len(cols) == 1 else _np.concatenate(cols)
 
 
 register_engine(ShardedEngine.name, ShardedEngine)

@@ -32,6 +32,7 @@ from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import (
     BatchBuilder,
     InboxBatch,
+    RoundInbox,
     payloads_of,
     typed_payloads_enabled,
 )
@@ -205,6 +206,11 @@ def run_aggregation(
                 payload["val"] = vals
                 out.add_arrays(srcs, cols, payload)
                 inbox = net.exchange(out)
+                if type(inbox) is RoundInbox:
+                    # The whole round's payloads as one column.
+                    _, arr = inbox.columns()
+                    router.inject_array(arr["col"], arr["g"], arr["val"])
+                    continue
                 for msgs in inbox.values():
                     arr = (
                         msgs.payload_array()

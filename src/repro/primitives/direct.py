@@ -12,9 +12,13 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-import numpy as _np
-
-from ..ncc.message import BatchBuilder, InboxBatch, Message, merge_round_inboxes
+from ..ncc.message import (
+    BatchBuilder,
+    InboxBatch,
+    Message,
+    merge_round_inboxes,
+    typed_column,
+)
 from ..ncc.network import NCCNetwork
 
 SendT = tuple[int, int, Any]  # (src, dst, payload)
@@ -42,8 +46,10 @@ def send_direct(
     A caller whose payloads all match a declared numpy ``dtype`` (an int64
     scalar or a flat struct of int/str/bool/float fields) may pass it: the
     round then ships as typed columns — no per-payload Python objects on
-    the wire, identical accounted bits.  Payloads that do not convert fall
-    back to the object path silently (the fallback contract).
+    the wire, identical accounted bits.  Payloads that do not convert
+    losslessly (:func:`~repro.ncc.message.typed_column`: a float into an
+    int field, an over-long string) fall back to the object path silently
+    (the fallback contract).
     """
     out = BatchBuilder(kind=kind, dtype=dtype)
     if out._dtype is not None:
@@ -55,9 +61,8 @@ def send_direct(
             dsts.append(dst)
             pays.append(payload)
         if srcs:
-            try:
-                values = _np.array(pays, dtype=out._dtype)
-            except (TypeError, ValueError, OverflowError):
+            values = typed_column(pays, out._dtype)
+            if values is None:
                 out = BatchBuilder(kind=kind)
                 for src, dst, payload in zip(srcs, dsts, pays):
                     out.add(src, dst, payload)
@@ -88,7 +93,7 @@ def send_chunked(
     straight into the builder, no ``Message`` objects).
 
     With a declared ``dtype`` each sender's slice converts to a typed
-    column; a slice whose payloads don't fit the dtype degrades that
+    column; a slice whose payloads do not convert losslessly degrades that
     round's builder to the object layout (and is charged identical bits).
     """
     if chunk < 1:
@@ -105,14 +110,10 @@ def send_chunked(
             if lo >= len(dsts):
                 continue
             dslice, pslice = dsts[lo:hi], payloads[lo:hi]
-            if out._dtype is not None:
-                try:
-                    values = _np.array(pslice, dtype=out._dtype)
-                except (TypeError, ValueError, OverflowError):
-                    out.add_many(src, dslice, pslice)  # degrades builder
-                else:
-                    out.add_array(src, dslice, values)
-            else:
+            values = None if out._dtype is None else typed_column(pslice, out._dtype)
+            if values is not None:
+                out.add_array(src, dslice, values)
+            else:  # object layout (a lossy slice degrades the builder)
                 out.add_many(src, dslice, pslice)
         yield net.exchange(out)
 

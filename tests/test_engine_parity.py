@@ -30,7 +30,10 @@ from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
     Message,
+    RoundInbox,
+    merge_round_inboxes,
     message_construction_count,
+    payload_box_count,
     set_typed_payloads,
 )
 from repro.ncc.network import NCCNetwork
@@ -290,6 +293,28 @@ def _run_direct_typed(rt):
     )
 
 
+def _typed_csr_round(n: int, *, salt: int, hot: int = 0) -> BatchBuilder:
+    """One typed whole-round submission: every node sends 3 pair-payload
+    messages along shuffled permutations (receive load 3), plus ``hot``
+    extra messages from distinct senders into one receiver."""
+    import numpy as np
+
+    pair = np.dtype([("a", "i8"), ("b", "i8")])
+    src = np.repeat(np.arange(n, dtype=np.int64), 3)
+    shift = np.tile(np.arange(1, 4, dtype=np.int64), n)
+    dst = (src * 7 + shift * 13 + salt) % n
+    if hot:
+        src = np.concatenate([src, np.arange(hot, dtype=np.int64)])
+        dst = np.concatenate([dst, np.full(hot, n // 2, dtype=np.int64)])
+        shift = np.concatenate([shift, np.zeros(hot, dtype=np.int64)])
+    payload = np.empty(len(src), dtype=pair)
+    payload["a"] = src * 1000 + shift
+    payload["b"] = -salt - shift
+    out = BatchBuilder(kind="csr", dtype=pair)
+    out.add_arrays(src, dst, payload)
+    return out
+
+
 TYPED_PRIMITIVES = {
     "aggregation": _run_aggregation,
     "multicast_int": _run_multicast_int,
@@ -319,6 +344,79 @@ class TestTypedRepresentationParity:
             assert run["result"] == base["result"], key
             assert run["rounds"] == base["rounds"], key
             assert run["stats"] == base["stats"], key
+
+    def test_round_inbox_is_observably_a_dict(self):
+        """A clean typed round comes back from the batched engine as a
+        RoundInbox; it must behave exactly like the reference engine's
+        dict of lists, and reach the caller with nothing built."""
+        n = 64
+        got = {}
+        for engine in ("reference", "batched"):
+            net = NCCNetwork(n, _engine_cfg(engine, seed=SEED))
+            m0, b0 = message_construction_count(), payload_box_count()
+            first = net.exchange(_typed_csr_round(n, salt=0))
+            second = net.exchange(_typed_csr_round(n, salt=5))
+            if engine == "batched":
+                first.columns()
+            got[engine] = (first, second, net.stats.comparable())
+            if engine == "batched":
+                assert message_construction_count() == m0
+                assert payload_box_count() == b0
+        ref, ref2, ref_stats = got["reference"]
+        bat, bat2, bat_stats = got["batched"]
+        assert type(ref) is dict
+        assert type(bat) is RoundInbox and type(bat2) is RoundInbox
+        assert bat_stats == ref_stats
+        # First-arrival order is not ascending order on this round.
+        assert list(ref) != sorted(ref)
+        assert bat == ref
+        assert ref == bat
+        assert not bat != ref
+        assert list(bat) == list(ref)
+        assert list(bat.keys()) == list(ref.keys())
+        assert [d for d, _ in bat.items()] == list(ref)
+        for d in ref:
+            assert bat[d] == ref[d]
+            assert type(bat[d]) is InboxBatch
+        assert list(bat.values()) == list(ref.values())
+        assert len(bat) == len(ref)
+        for probe in (*list(ref)[:3], -1, n + 5, "x", 2.0):
+            assert (probe in bat) == (probe in ref), probe
+            assert bat.get(probe) == ref.get(probe), probe
+            assert bat.get(probe, "dflt") == ref.get(probe, "dflt"), probe
+        with pytest.raises(KeyError):
+            bat[n + 5]
+        merged = {}
+        for engine in ("reference", "batched"):
+            acc = {}
+            merge_round_inboxes(acc, got[engine][0])
+            merge_round_inboxes(acc, got[engine][1])
+            merged[engine] = acc
+        assert list(merged["batched"]) == list(merged["reference"])
+        assert merged["batched"] == merged["reference"]
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_overloaded_typed_round_keeps_recv_walk_dict(self, mode):
+        """Receive overload on a typed round: the batched engine returns
+        the canonical receive walk's dict, with the reference ledger order
+        and DROP draws."""
+        n = 64
+        outcomes = {}
+        for engine in ("reference", "batched"):
+            net = NCCNetwork(n, _engine_cfg(engine, seed=SEED, enforcement=mode))
+            out = _typed_csr_round(n, salt=0, hot=net.capacity + 4)
+            try:
+                inbox = net.exchange(out)
+            except ReproError as e:
+                outcomes[engine] = (type(e).__name__, str(e), net.stats.comparable())
+                continue
+            assert type(inbox) is dict, engine
+            outcomes[engine] = (
+                [(d, [(m.src, tuple(m.payload)) for m in box]) for d, box in inbox.items()],
+                net.stats.comparable(),
+                net._drop_rng.random(),
+            )
+        _assert_parity(outcomes)
 
 
 # ----------------------------------------------------------------------

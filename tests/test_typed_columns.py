@@ -129,6 +129,12 @@ class TestTypedBuilder:
         b = BatchBuilder(dtype=np.int64)
         with pytest.raises(TypeError):
             b.add_array(0, [1], np.asarray([1.5]))  # silent truncation guard
+        # List values get the same guard: 2.5 would otherwise arrive as 2.
+        with pytest.raises(TypeError, match="losslessly"):
+            b.add_array(0, [1, 2], [3, 2.5])
+        with pytest.raises(TypeError, match="losslessly"):
+            b.add_arrays([0, 1], [1, 2], [2.5, 7.9])
+        assert not b
 
     def test_float_destinations_rejected(self, typed_on):
         b = BatchBuilder(dtype=np.int64)
@@ -205,33 +211,61 @@ class TestTypedDelivery:
 
     def test_unconvertible_payloads_fall_back(self, typed_on):
         n = 16
-        sends = [(0, 1, (1, 2)), (0, 2, ("not", "ints"))]
-        for engine in ENGINES:
-            net = NCCNetwork(n, _config(engine))
-            inbox = send_direct(net, sends, dtype=PAIR_DTYPE)
-            assert inbox[1][0].payload == (1, 2)
-            assert inbox[2][0].payload == ("not", "ints")
+        cases = [
+            (
+                PAIR_DTYPE,
+                [(0, 1, (1, 2)), (0, 2, ("not", "ints"))],
+                {1: [(1, 2)], 2: [("not", "ints")]},
+            ),
+            # Lossy numeric conversions: numpy would truncate these floats
+            # into the int fields without an error.
+            (np.int64, [(0, 1, 2.5), (3, 1, 7.9)], {1: [2.5, 7.9]}),
+            (PAIR_DTYPE, [(0, 1, (1, 2)), (0, 2, (3, 4.5))], {1: [(1, 2)], 2: [(3, 4.5)]}),
+            # An int into a float field keeps its value but not its type
+            # (nor its bits).
+            (np.dtype([("w", "f8")]), [(0, 1, (3,))], {1: [(3,)]}),
+        ]
+        for dtype, sends, expected in cases:
+            stats = set()
+            for engine in ENGINES:
+                for declared in (dtype, None):
+                    net = NCCNetwork(n, _config(engine))
+                    inbox = send_direct(net, sends, dtype=declared)
+                    got = {d: [m.payload for m in box] for d, box in inbox.items()}
+                    assert got == expected
+                    assert [type(p) for ps in got.values() for p in ps] == [
+                        type(p) for ps in expected.values() for p in ps
+                    ]
+                    stats.add(repr(net.stats.comparable()))
+            assert len(stats) == 1, sends
 
     def test_send_chunked_typed_matches_object(self, typed_on):
         n = 16
-        per_source = {
-            u: ([(u + i + 1) % n for i in range(5)], [(u, i) for i in range(5)])
-            for u in range(0, n, 2)
-        }
-        results = {}
-        for dtype in (PAIR_DTYPE, None):
-            net = NCCNetwork(n, _config("batched"))
-            rounds = []
-            for inbox in send_chunked(net, per_source, 2, dtype=dtype):
-                rounds.append(
-                    sorted(
-                        (d, m.src, tuple(m.payload))
-                        for d, msgs in inbox.items()
-                        for m in msgs
+        cases = [
+            (PAIR_DTYPE, lambda u, i: (u, i)),
+            # One lossy slice (a float into an int64 column): that round
+            # degrades to the object path instead of truncating 4.5 to 4.
+            (np.int64, lambda u, i: u + i + (0.5 if (u, i) == (4, 3) else 0)),
+        ]
+        for dtype, payload in cases:
+            per_source = {
+                u: ([(u + i + 1) % n for i in range(5)], [payload(u, i) for i in range(5)])
+                for u in range(0, n, 2)
+            }
+            results = {}
+            for declared in (dtype, None):
+                net = NCCNetwork(n, _config("batched"))
+                rounds = []
+                for inbox in send_chunked(net, per_source, 2, dtype=declared):
+                    rounds.append(
+                        sorted(
+                            (d, m.src, m.payload, type(m.payload).__name__)
+                            for d, msgs in inbox.items()
+                            for m in msgs
+                        )
                     )
-                )
-            results[dtype is None] = (rounds, net.stats.comparable())
-        assert results[True] == results[False]
+                results[declared is None] = (rounds, net.stats.comparable())
+            assert results[True] == results[False]
 
     def test_typed_bits_agg_matches_object(self, typed_on):
         """Delivered typed spans aggregate receive-side bits identically to
@@ -248,14 +282,31 @@ class TestTypedDelivery:
 # ----------------------------------------------------------------------
 # Combining router typed kernel
 # ----------------------------------------------------------------------
+def _hashed_rank(g):
+    return (g * 2654435761) % 1009
+
+
+#: Router inputs for the typed-vs-object comparison: ``(n, groups,
+#: packets, rank_of)``.  A constant rank leaves every contention to the
+#: group id (the low bits of the packed sort key); negative group ids must
+#: order below the others; the n = 256 case has rounds of more than 128
+#: messages, past the engine's small-round cutoff.
+ROUTE_CASES = {
+    "hashed-rank": (32, range(10), 150, _hashed_rank),
+    "constant-rank": (32, range(10), 150, lambda g: 7),
+    "negative-groups": (32, range(-12, 4), 200, _hashed_rank),
+    "bulk-rounds": (256, range(300), 3000, _hashed_rank),
+}
+
+
 class TestTypedCombiningRouter:
-    def _router(self, net, bf, fn, **kw):
+    def _router(self, net, bf, fn, rank_of=_hashed_rank, **kw):
         from repro.butterfly.routing import CombiningRouter
 
         return CombiningRouter(
             net,
             bf,
-            rank_of=lambda g: (g * 2654435761) % 1009,
+            rank_of=rank_of,
             target_col_of=lambda g: (g * 40503) % bf.columns,
             combine=fn.combine,
             ufunc=fn.ufunc,
@@ -264,16 +315,29 @@ class TestTypedCombiningRouter:
 
     @pytest.mark.parametrize("fn", [SUM, MIN, MAX, XOR], ids=lambda f: f.name)
     def test_typed_kernel_matches_object_route(self, fn, typed_on):
-        n = 32
+        for case in ROUTE_CASES:
+            self._check_typed_route(fn, case)
+
+    def _check_typed_route(self, fn, case):
+        n, groups, count, rank_of = ROUTE_CASES[case]
+        groups = list(groups)
         rng = random.Random(13)
         packets = [
-            (rng.randrange(n), rng.randrange(10), rng.randrange(1, 500))
-            for _ in range(150)
+            (rng.randrange(n), rng.choice(groups), rng.randrange(1, 500))
+            for _ in range(count)
         ]
         results = {}
         for typed in (True, False):
             rt = NCCRuntime(n, _config("batched"))
-            router = self._router(rt.net, rt.bf, fn)
+            sizes = []
+            exchange = rt.net.exchange
+
+            def spy(out, exchange=exchange, sizes=sizes):
+                sizes.append(len(out))
+                return exchange(out)
+
+            rt.net.exchange = spy
+            router = self._router(rt.net, rt.bf, fn, rank_of=rank_of)
             if typed:
                 router.inject_array(
                     [p[0] for p in packets],
@@ -283,9 +347,16 @@ class TestTypedCombiningRouter:
             else:
                 for col, g, v in packets:
                     router.inject(col, g, v)
+            m0, b0 = message_construction_count(), payload_box_count()
             res = router.run()
+            if typed:  # the typed kernel ran, not the boxed fallback
+                assert message_construction_count() == m0, case
+                assert payload_box_count() == b0, case
             results[typed] = (res.results, res.rounds, rt.net.stats.comparable())
-        assert results[True] == results[False]
+            if case == "bulk-rounds":
+                assert max(sizes) > 128
+        assert results[True] == results[False], case
+        assert set(results[True][0]) == set(groups) & {p[1] for p in packets}, case
 
     def test_inject_array_validation(self, typed_on):
         rt = NCCRuntime(16, _config("batched"))
