@@ -32,6 +32,7 @@ routed rounds stay on the batched engine's array path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
@@ -50,11 +51,175 @@ from .topology import BFNode, ButterflyGrid
 
 GroupT = Hashable  # must additionally be orderable; ints / tuples of ints
 
-#: The wire dtype of routed data packets.  Field-for-field it sizes exactly
-#: like the object path's ``("D", level, group, value)`` tuples (the 1-char
-#: tag is a short string: 4 bits), so typed and object runs account
-#: identical wire bits.
-DATA_DTYPE = _np.dtype([("tag", "U1"), ("lvl", "i8"), ("g", "i8"), ("val", "i8")])
+
+def _field_names(prefix: str, arity: int) -> tuple[str, ...]:
+    return (prefix,) if arity == 0 else tuple(f"{prefix}{i}" for i in range(arity))
+
+
+@functools.cache
+def wire_dtype(lead: str | None, garity: int = 0, varity: int = 0) -> _np.dtype:
+    """The one wire layout of typed group traffic: ``tag, [lead], g…, val…``.
+
+    ``garity``/``varity`` are the group and value tuple arities, 0 for a
+    plain int (one field named ``g`` / ``val``).  A tuple sizes as the sum
+    of its parts, so the flat int fields account exactly the bits of the
+    object path's nested ``(tag, [lead], group, value)`` tuples, and the
+    1-char tag is a short string (4 bits).
+    """
+    fields = [("tag", "U1")]
+    if lead is not None:
+        fields.append((lead, "i8"))
+    fields += [(name, "i8") for name in _field_names("g", garity)]
+    fields += [(name, "i8") for name in _field_names("val", varity)]
+    return _np.dtype(fields)
+
+
+#: The wire dtype of routed data packets: ``("D", level, group, value)``.
+DATA_DTYPE = wire_dtype("lvl")
+
+
+@dataclass(frozen=True)
+class WireLayout:
+    """How one run's groups and values ride int64 columns.
+
+    A plain-int group is its own int64 *code* (``gmin`` empty).  A flat int
+    tuple group's code is its mixed-radix number over per-field offsets
+    ``g[i] - gmin[i]`` in ranges ``gspan[i]``, first field most
+    significant: code order is tuple order, so contention on ``(rank,
+    code)`` is contention on ``(rank, group)``.  Values are ints
+    (``varity`` 0) or flat int tuples of arity ``varity``; the kernel holds
+    them as an ``(m, max(1, varity))`` int64 matrix.
+    """
+
+    gmin: tuple[int, ...] = ()
+    gspan: tuple[int, ...] = ()
+    varity: int = 0
+
+    def dtype(self, lead: str | None) -> _np.dtype:
+        return wire_dtype(lead, len(self.gmin), self.varity)
+
+    @functools.cached_property
+    def gnames(self) -> tuple[str, ...]:
+        return _field_names("g", len(self.gmin))
+
+    @functools.cached_property
+    def vnames(self) -> tuple[str, ...]:
+        return _field_names("val", self.varity)
+
+    def code(self, arr):
+        """Group codes of a structured wire column, by column arithmetic."""
+        if not self.gmin:
+            return arr["g"]
+        names = self.gnames
+        code = arr[names[0]] - self.gmin[0]
+        for name, lo, span in zip(names[1:], self.gmin[1:], self.gspan[1:]):
+            code = code * span + (arr[name] - lo)
+        return code
+
+    def decode(self, code) -> list:
+        """Group field columns of a code column (inverse of :meth:`code`)."""
+        if not self.gmin:
+            return [code]
+        fields = []
+        for lo, span in zip(self.gmin[:0:-1], self.gspan[:0:-1]):
+            code, rest = _np.divmod(code, span)
+            fields.append(rest + lo)
+        fields.append(code + self.gmin[0])
+        return fields[::-1]
+
+    def values(self, arr):
+        """The ``(m, fields)`` value matrix of a structured wire column."""
+        mat = _np.empty((len(arr), len(self.vnames)), dtype=_np.int64)
+        for j, name in enumerate(self.vnames):
+            mat[:, j] = arr[name]
+        return mat
+
+    def fill(self, payload, groups: list, values: list) -> None:
+        """Write boxed groups and values into a structured wire column."""
+        for names, arity, items in (
+            (self.gnames, len(self.gmin), groups),
+            (self.vnames, self.varity, values),
+        ):
+            if arity == 0:
+                payload[names[0]] = items
+            else:
+                mat = _np.array(items, dtype=_np.int64).reshape(len(items), arity)
+                for j, name in enumerate(names):
+                    payload[name] = mat[:, j]
+
+    def box_groups(self, fields: list) -> list:
+        """Python groups from group field columns (one object per row)."""
+        if not self.gmin:
+            return fields[0].tolist()
+        return list(zip(*(f.tolist() for f in fields)))
+
+    def box_values(self, mat) -> list:
+        """Python values from a value matrix (one object per row)."""
+        if self.varity == 0:
+            return mat[:, 0].tolist()
+        return list(map(tuple, mat.tolist()))
+
+    def box(self, arr) -> tuple[list, list]:
+        """``(groups, values)`` of a structured wire column, boxed."""
+        fields = [arr[name] for name in self.gnames]
+        return self.box_groups(fields), self.box_values(self.values(arr))
+
+
+#: Plain-int groups and values: the layout of every one-field wire dtype.
+INT_LAYOUT = WireLayout()
+
+
+def wire_column(msgs: Any, dtype: Any):
+    """One inbox's typed payloads as a structured column of ``dtype``.
+
+    A typed span is read as is; the reference engine (or a degraded round)
+    delivers boxed flat tuples, which are lowered back to the same column
+    so every engine drives the identical typed flow.
+    """
+    arr = msgs.payload_array() if type(msgs) is InboxBatch else None
+    if arr is None:
+        arr = _np.array(payloads_of(msgs), dtype=dtype)
+    return arr
+
+
+def wire_columns(inbox: Any, dtype: Any):
+    """A whole round's typed payloads as ``(receiver per message, one
+    structured column of dtype)``, for consumers indifferent to message
+    order.
+
+    A :class:`RoundInbox` is read whole.  Otherwise typed spans are read as
+    is and every boxed payload of the round is lowered in one conversion,
+    so a round costs O(1) numpy calls, not O(receivers).
+    """
+    if type(inbox) is RoundInbox:
+        return inbox.columns()
+    hosts: list = []
+    parts: list = []
+    boxed_hosts: list[int] = []
+    boxed: list = []
+    for host, received in inbox.items():
+        arr = received.payload_array() if type(received) is InboxBatch else None
+        if arr is None:
+            pls = payloads_of(received)
+            boxed += pls
+            boxed_hosts += [host] * len(pls)
+        else:
+            parts.append(arr)
+            hosts.append(_np.full(len(arr), host, dtype=_np.int64))
+    if boxed or not parts:
+        parts.append(_np.array(boxed, dtype=dtype))
+        hosts.append(_np.array(boxed_hosts, dtype=_np.int64))
+    if len(parts) == 1:
+        return hosts[0], parts[0]
+    return _np.concatenate(hosts), _np.concatenate(parts)
+
+
+def _reduceat(ufuncs: tuple, v, starts):
+    """Collapse the row segments starting at ``starts``, field by field."""
+    out = _np.empty((len(starts), v.shape[1]), dtype=_np.int64)
+    for j, ufunc in enumerate(ufuncs):
+        out[:, j] = ufunc.reduceat(v[:, j], starts)
+    return out
 
 
 def _group_bits(group: Any) -> int:
@@ -143,12 +308,16 @@ class CombiningRouter:
         The distributive aggregate: merges two packet values of one group.
     ufunc:
         Optional numpy ufunc computing the same reduction as ``combine``
-        over int64 columns.  With it, packets injected through
-        :meth:`inject_array` route on the fully typed kernel
-        (:meth:`_run_typed`): pending packets live in parallel
-        ``(key, group, value)`` int64 arrays, collisions collapse via
-        sort-and-``reduceat``, and wire traffic is a structured-dtype
-        column — a clean round touches no Python per packet.
+        over int64 columns, or a tuple with one ufunc per value field.
+        With it, packets injected through :meth:`inject_array` route on the
+        fully typed kernel (:meth:`_run_typed`): pending packets live in
+        parallel ``(key, group code)`` int64 arrays plus an ``(m, fields)``
+        value matrix, collisions collapse via sort-and-``reduceat``, and
+        wire traffic is a structured-dtype column — a clean round touches
+        no Python per packet.
+    layout:
+        The :class:`WireLayout` of typed injections (group codes, value
+        arity); plain ints when omitted.
     record_trees:
         Record traversed edges into a :class:`TreeSet` (Multicast Tree Setup).
     kind:
@@ -164,6 +333,7 @@ class CombiningRouter:
         target_col_of: Callable[[GroupT], int],
         combine: Callable[[Any, Any], Any],
         ufunc: Any = None,
+        layout: WireLayout = INT_LAYOUT,
         record_trees: bool = False,
         kind: str = "combining",
     ):
@@ -173,6 +343,7 @@ class CombiningRouter:
         self.target_col_of = target_col_of
         self.combine = combine
         self.ufunc = ufunc
+        self.layout = layout
         self.kind = kind
         self._token_kind = kind + ":token"
         self.trees = TreeSet() if record_trees else None
@@ -200,8 +371,9 @@ class CombiningRouter:
     def inject_array(self, columns: Any, groups: Any, values: Any) -> None:
         """Place typed packets at level-0 nodes (pre-run, column form).
 
-        ``columns``/``groups``/``values`` are parallel int columns (int64
-        groups and values).  Packets stay in arrays end-to-end when the
+        ``columns``/``groups``/``values`` are parallel int columns: groups
+        as the layout's int64 group codes, values as an int64 column or an
+        ``(m, fields)`` matrix.  Packets stay in arrays end-to-end when the
         typed kernel applies; otherwise they are boxed into the object
         queues at :meth:`run` — the object-fallback contract.
         """
@@ -210,8 +382,12 @@ class CombiningRouter:
         carr = _np.asarray(columns, dtype=_np.int64)
         garr = _np.asarray(groups, dtype=_np.int64)
         varr = _np.asarray(values, dtype=_np.int64)
+        if varr.ndim == 1:
+            varr = varr.reshape(-1, 1)
         if not (len(carr) == len(garr) == len(varr)):
             raise ValueError("inject_array requires parallel columns of equal length")
+        if varr.shape[1:] != (len(self.layout.vnames),):
+            raise ValueError("inject_array values must have one column per value field")
         if len(carr) == 0:
             return
         if int(carr.min()) < 0 or int(carr.max()) >= self.bf.columns:
@@ -232,8 +408,10 @@ class CombiningRouter:
         self._typed_cols = None
         if stash is None:
             return
+        layout = self.layout
         for carr, garr, varr in zip(*stash):
-            for c, g, v in zip(carr.tolist(), garr.tolist(), varr.tolist()):
+            groups = layout.box_groups(layout.decode(garr))
+            for c, g, v in zip(carr.tolist(), groups, layout.box_values(varr)):
                 self.inject(c, g, v)
 
     # ------------------------------------------------------------------
@@ -242,8 +420,10 @@ class CombiningRouter:
         if self._ran:
             raise ProtocolError("router already ran")
         if self._typed_cols is not None:
+            ufuncs = self.ufunc if type(self.ufunc) is tuple else (self.ufunc,)
             if (
                 self.ufunc is not None
+                and len(ufuncs) == len(self.layout.vnames)
                 and self.trees is None
                 and self.bf.d > 0
                 and _lightweight(self.net)
@@ -262,7 +442,7 @@ class CombiningRouter:
                     # Level-0 keys are the columns themselves ((0 << d) | column).
                     key = ccols[0] if len(ccols) == 1 else _np.concatenate(ccols)
                     v = vcols[0] if len(vcols) == 1 else _np.concatenate(vcols)
-                    return self._run_typed(key, g, v, uniq)
+                    return self._run_typed(key, g, v, uniq, ufuncs)
             self._box_typed_injections()
         self._ran = True
         start_round = self.net.round_index
@@ -484,26 +664,29 @@ class CombiningRouter:
 
         return RoutingResult(net.round_index - start_round, results, self.trees)
 
-    def _run_typed(self, key, g, v, uniq) -> RoutingResult:
+    def _run_typed(self, key, g, v, uniq, ufuncs) -> RoutingResult:
         """Array-resident combining kernel (lightweight sync, no trees).
 
         ``key``/``g``/``v`` are the injected packets' level-0 node keys,
-        groups and values; ``uniq`` their distinct groups, ascending.
+        group codes and ``(m, fields)`` value matrix; ``uniq`` their
+        distinct codes, ascending; ``ufuncs`` one reduction per value field.
 
         Observably equivalent to the object loop of :meth:`run`: the same
         per-edge winners are selected each round (identical ``(rank,
-        group)`` ordering over identical contenders), the same messages
-        cross the same edges with identical wire bits (``DATA_DTYPE`` sizes
-        exactly like the ``("D", ...)`` tuples), and the exact commutative
-        int64 reductions make the collision-combine order irrelevant.
+        group)`` ordering over identical contenders, since code order is
+        group order), the same messages cross the same edges with identical
+        wire bits (the layout's flat fields size exactly like the ``("D",
+        ...)`` tuples), and the exact commutative int64 reductions make the
+        collision-combine order irrelevant.
 
         Each round is one ``argsort`` of a packed int64 key
         ``sk = (eid << bits(k - 1)) | prio``, where ``eid = (key << 1) |
         cross`` names the edge a packet wants and ``prio`` is its group's
         position in ``(rank, group)`` order.  Equal ``sk`` means the same
-        node and group, so one ``reduceat`` over those segments collapses
-        collisions; the first entry of each ``eid`` segment is that edge's
-        winner.  Python cost per round is O(1), not O(packets) or O(hosts).
+        node and group, so one ``reduceat`` per value field over those
+        segments collapses collisions; the first entry of each ``eid``
+        segment is that edge's winner.  Python cost per round is O(1), not
+        O(packets) or O(hosts).
         """
         self._ran = True
         np = _np
@@ -513,14 +696,18 @@ class CombiningRouter:
         columns = bf.columns
         mask = columns - 1
         bottom = d << d
-        ufunc = self.ufunc
+        layout = self.layout
+        data_dtype = layout.dtype("lvl")
+        gnames, vnames = layout.gnames, layout.vnames
         kind = self.kind
         one = np.int64(1)
 
         # Group tables: rank/target are pure per group — one Python call
-        # per distinct group for the whole run, never per packet.  Packets
-        # carry their group's index into ``uniq`` (``gi``) between rounds.
-        glist = uniq.tolist()
+        # per distinct group (decoded from its code) for the whole run,
+        # never per packet.  Packets carry their group's index into
+        # ``uniq`` (``gi``) between rounds.
+        gfields = layout.decode(uniq)
+        glist = layout.box_groups(gfields)
         k_groups = len(glist)
         tcol_by = np.fromiter(
             (self.target_col_of(x) for x in glist), np.int64, k_groups
@@ -544,7 +731,7 @@ class CombiningRouter:
             sk = (((key << 1) | cross) << pbits) | prio_by.take(gi)
             order = np.argsort(sk)
             sk = sk.take(order)
-            v = v.take(order)
+            v = v.take(order, axis=0)
 
             # --- collapse colliding packets per (node, group) ---
             seg = np.empty(len(sk), dtype=bool)
@@ -552,7 +739,7 @@ class CombiningRouter:
             np.not_equal(sk[1:], sk[:-1], out=seg[1:])
             if not seg.all():
                 starts = np.flatnonzero(seg)
-                v = ufunc.reduceat(v, starts)
+                v = _reduceat(ufuncs, v, starts)
                 sk = sk.take(starts)
 
             # --- the first packet of each edge segment wins it ---
@@ -569,15 +756,19 @@ class CombiningRouter:
 
             # --- emit cross winners as one typed submission (ascending
             # key order, so per-host emission order is key order) ---
-            out = BatchBuilder(kind=kind, dtype=DATA_DTYPE)
+            out = BatchBuilder(kind=kind, dtype=data_dtype)
             cw = np.flatnonzero(win & cross)
             if len(cw):
                 ccol = col.take(cw)
-                payload = np.empty(len(cw), dtype=DATA_DTYPE)
+                payload = np.empty(len(cw), dtype=data_dtype)
                 payload["tag"] = "D"
                 payload["lvl"] = level.take(cw) + 1
-                payload["g"] = uniq.take(gi.take(cw))
-                payload["val"] = v.take(cw)
+                cgi = gi.take(cw)
+                for name, fcol in zip(gnames, gfields):
+                    payload[name] = fcol.take(cgi)
+                cv = v.take(cw, axis=0)
+                for j, name in enumerate(vnames):
+                    payload[name] = cv[:, j]
                 out.add_arrays(ccol, ccol ^ bit.take(cw), payload)
             inboxes = net.exchange(out)
 
@@ -585,7 +776,7 @@ class CombiningRouter:
             sw = np.flatnonzero(win & ~cross)
             skey = key.take(sw) + columns
             sgi = gi.take(sw)
-            sv = v.take(sw)
+            sv = v.take(sw, axis=0)
             done = skey >= bottom
             res_gi.append(sgi[done])
             res_v.append(sv[done])
@@ -594,33 +785,12 @@ class CombiningRouter:
             parts_gi = [gi[lose], sgi[~done]]
             parts_v = [v[lose], sv[~done]]
 
-            # --- apply network arrivals ---
-            if type(inboxes) is RoundInbox:
-                # The whole round as two columns: no per-host iteration.
-                ahost, arr = inboxes.columns()
-                arrivals = [(ahost, arr["lvl"], arr["g"], arr["val"])]
-            else:
-                # Reference engine (or a degraded round): one inbox per host.
-                arrivals = []
-                for host, received in inboxes.items():
-                    arr = (
-                        received.payload_array()
-                        if type(received) is InboxBatch
-                        else None
-                    )
-                    c = len(received)
-                    if arr is not None:
-                        lvl, ag, av = arr["lvl"], arr["g"], arr["val"]
-                    else:
-                        # Boxed payloads: lower them back to columns.
-                        pls = payloads_of(received)
-                        lvl = np.fromiter((p[1] for p in pls), np.int64, c)
-                        ag = np.fromiter((p[2] for p in pls), np.int64, c)
-                        av = np.fromiter((p[3] for p in pls), np.int64, c)
-                    arrivals.append((np.full(c, host, dtype=np.int64), lvl, ag, av))
-            for ahost, lvl, ag, av in arrivals:
-                akey = (lvl << d) | ahost
-                agi = np.searchsorted(uniq, ag)
+            # --- apply network arrivals: the whole round as two columns ---
+            if inboxes:
+                ahost, arr = wire_columns(inboxes, data_dtype)
+                akey = (arr["lvl"] << d) | ahost
+                agi = np.searchsorted(uniq, layout.code(arr))
+                av = layout.values(arr)
                 ab = akey >= bottom
                 res_gi.append(agi[ab])
                 res_v.append(av[ab])
@@ -642,14 +812,15 @@ class CombiningRouter:
             rv = np.concatenate(res_v)
             order = np.argsort(rg, kind="stable")
             rg = rg.take(order)
-            rv = rv.take(order)
+            rv = rv.take(order, axis=0)
             seg = np.empty(len(rg), dtype=bool)
             seg[0] = True
             np.not_equal(rg[1:], rg[:-1], out=seg[1:])
             starts = np.flatnonzero(seg)
-            vals = ufunc.reduceat(rv, starts)
+            vals = _reduceat(ufuncs, rv, starts)
+            rgi = rg.take(starts).tolist()
             results = dict(
-                zip(uniq.take(rg.take(starts)).tolist(), vals.tolist(), strict=True)
+                zip([glist[i] for i in rgi], layout.box_values(vals), strict=True)
             )
         return RoutingResult(net.round_index - start_round, results, None)
 

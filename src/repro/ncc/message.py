@@ -241,25 +241,23 @@ def typed_payloads_enabled() -> bool:
 # ----------------------------------------------------------------------
 
 def _int_col_bits(v):
-    """Exact :func:`payload_bits` of an int column, vectorized.
+    """Exact :func:`payload_bits` of an int array (any shape), vectorized.
 
-    ``(bit_length or 1) + sign`` per element, computed with shift/compare
-    arithmetic only (no per-element Python).  The two's-complement negate
-    through uint64 handles ``-2**63`` exactly, where ``abs`` would wrap.
+    ``(bit_length or 1) + sign`` per element.  The magnitude is read as
+    uint64 (``abs`` wraps ``-2**63`` to itself, which is ``2**63`` unsigned)
+    and its bit length is the binary exponent ``np.frexp`` reports for it.
+    The float conversion is exact below ``2**53``; above, rounding can carry
+    into the next power of two, so one shift-and-compare drops the exponent
+    back where the magnitude sits below ``2**(e - 1)``.
     """
-    neg = v < 0
-    mag = v.astype(_np.uint64)
-    mag = _np.where(neg, ~mag + _np.uint64(1), mag)
-    bl = _np.zeros(v.shape, dtype=_np.int64)
-    # Binary-search the bit length: after the loop ``mag`` is 0 or 1 and
-    # ``bl`` holds bit_length - (mag != 0).
-    for shift in (32, 16, 8, 4, 2, 1):
-        t = mag >> _np.uint64(shift)
-        big = t != 0
-        bl += _np.where(big, shift, 0)
-        mag = _np.where(big, t, mag)
-    bl += mag != 0
-    return _np.maximum(bl, 1) + neg
+    v = _np.asarray(v, dtype=_np.int64)
+    mag = _np.abs(v).view(_np.uint64)
+    e = _np.frexp(mag.astype(_np.float64))[1].astype(_np.int64)
+    _np.minimum(e, 64, out=e)
+    e -= (mag >> _np.maximum(e - 1, 0).view(_np.uint64)) == 0
+    _np.maximum(e, 1, out=e)
+    e += v < 0
+    return e
 
 
 def typed_payload_bits(values):
@@ -268,20 +266,30 @@ def typed_payload_bits(values):
     Matches the scalar rules field-for-field: int fields size by binary
     length (+ sign), unicode fields by the short-string tag rule, bool
     fields at 1 bit, float fields at 32 — so a typed column and its boxed
-    ``.tolist()`` form always account identical wire bits.
+    ``.tolist()`` form always account identical wire bits.  All int fields
+    of a structured column are sized in one :func:`_int_col_bits` call.
     """
     dt = values.dtype
     if dt.names is None:
         return _int_col_bits(values)
     total = _np.zeros(values.shape, dtype=_np.int64)
+    ints = [name for name in dt.names if dt.fields[name][0].kind == "i"]
+    if ints:
+        mat = _np.empty((len(ints),) + values.shape, dtype=_np.int64)
+        for row, name in zip(mat, ints):
+            row[...] = values[name]
+        total += _int_col_bits(mat).sum(axis=0)
     for name in dt.names:
         col = values[name]
         k = col.dtype.kind
         if k == "i":
-            total += _int_col_bits(col)
-        elif k == "U":
-            ln = _np.char.str_len(col)
-            total += _np.where(ln <= 8, 4, 8 * ln)
+            continue
+        if k == "U":
+            if col.dtype.itemsize <= 32:  # at most 8 chars: a short tag
+                total += 4
+            else:
+                ln = _np.char.str_len(col)
+                total += _np.where(ln <= 8, 4, 8 * ln)
         elif k == "b":
             total += 1
         elif k == "f":

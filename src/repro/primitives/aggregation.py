@@ -27,62 +27,112 @@ from typing import Any, Hashable, Mapping
 
 import numpy as _np
 
-from ..butterfly.routing import CombiningRouter
+from ..butterfly.routing import (
+    INT_LAYOUT,
+    CombiningRouter,
+    WireLayout,
+    wire_column,
+    wire_columns,
+    wire_dtype,
+)
 from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import (
     BatchBuilder,
-    InboxBatch,
-    RoundInbox,
     payloads_of,
     typed_payloads_enabled,
 )
 from ..ncc.network import NCCNetwork
 from ..rng import SharedRandomness
+from ..telemetry.metrics import METRICS
 from .aggregate_broadcast import barrier
 from .functions import Aggregate
 
 GroupT = Hashable
 
-#: Wire dtypes of the typed aggregation flow.  Each sizes exactly like its
-#: object-path tuple counterpart (1-char tag = short string = 4 bits; int
-#: fields size by binary length), so typed and object runs account
+#: Wire dtypes of the typed aggregation flow for plain-int groups and
+#: values; other layouts come from the same
+#: :func:`~repro.butterfly.routing.wire_dtype`.  Each sizes exactly like
+#: its object-path tuple counterpart (1-char tag = short string = 4 bits;
+#: int fields size by binary length), so typed and object runs account
 #: identical bits.
-INJECT_DTYPE = _np.dtype([("tag", "U1"), ("col", "i8"), ("g", "i8"), ("val", "i8")])
-RESULT_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
+INJECT_DTYPE = wire_dtype("col")
+RESULT_DTYPE = wire_dtype(None)
+
+#: Per-path aggregation counts: one increment per :func:`run_aggregation`.
+_TYPED_RUNS = METRICS.counter("primitives.aggregation.typed")
+_OBJECT_RUNS = METRICS.counter("primitives.aggregation.object")
+
+_LO, _HI = -(1 << 62), 1 << 62
+
+
+def _field_ranges(items: list, arity: int) -> list[tuple[int, int]] | None:
+    """Per-field ``(min, max)`` of plain ints (``arity`` 0) or of flat int
+    tuples of one ``arity``; ``None`` if any item has another shape or a
+    field outside ``(-2**62, 2**62)``.  ``bool`` is not an int here."""
+    if arity == 0:
+        cols = [items]
+    elif all(type(x) is tuple and len(x) == arity for x in items):
+        cols = list(zip(*items))
+    else:
+        return None
+    ranges = []
+    for col in cols:
+        if not all(type(x) is int for x in col):
+            return None
+        lo, hi = min(col), max(col)
+        if not (_LO < lo and hi < _HI):
+            return None
+        ranges.append((lo, hi))
+    return ranges
 
 
 def _typed_applicable(
     net: NCCNetwork, bf: ButterflyGrid, problem: AggregationProblem
-) -> bool:
-    """Whether this instance can run the fully typed flow.
+) -> WireLayout | None:
+    """The wire layout of the fully typed flow for this instance, or
+    ``None`` for the object path.
 
-    Requires the process-wide typed default, a ufunc-backed
-    aggregate, lightweight sync (token traffic would mix object messages
-    into the typed builders), a non-degenerate butterfly, and an instance
-    whose groups/values are plain ints safely inside int64 (for SUM the
-    whole run's worst-case partial sum must fit, so the check bounds the
-    total absolute mass).  Anything else keeps the object path — the
-    documented fallback contract.
+    Requires the process-wide typed default, a ufunc-backed aggregate (one
+    ufunc, or a tuple of one ufunc per value field), lightweight sync
+    (token traffic would mix object messages into the typed builders), a
+    non-degenerate butterfly, and an instance whose groups are ints or
+    flat int tuples of one arity and whose values are ints (one ufunc) or
+    flat int tuples of the ufunc count, every field safely inside int64.
+    Tuple groups code as mixed-radix numbers, so the product of their
+    field ranges must stay below ``2**62``.  For every ``np.add`` field
+    the whole run's worst-case partial sum must fit, so the check bounds
+    that field's total absolute mass.  Anything else keeps the object
+    path — the documented fallback contract.
     """
+    ufunc = problem.fn.ufunc
     if (
         not typed_payloads_enabled()
-        or problem.fn.ufunc is None
+        or ufunc is None
         or bf.d <= 0
         or not net.config.extras.get("lightweight_sync", False)
     ):
-        return False
-    lo, hi = -(1 << 62), 1 << 62
-    abs_sum = 0
-    for groups in problem.memberships.values():
-        for g, value in groups.items():
-            if type(g) is not int or type(value) is not int:
-                return False
-            if not (lo < g < hi) or not (lo < value < hi):
-                return False
-            abs_sum += value if value >= 0 else -value
-    if problem.fn.ufunc is _np.add and abs_sum >= hi:
-        return False
-    return True
+        return None
+    ufuncs = ufunc if type(ufunc) is tuple else (ufunc,)
+    varity = len(ufuncs) if type(ufunc) is tuple else 0
+    groups = [g for gs in problem.memberships.values() for g in gs]
+    if not groups:
+        return WireLayout(varity=varity)
+    garity = len(groups[0]) if type(groups[0]) is tuple else 0
+    granges = _field_ranges(groups, garity)
+    values = [v for gs in problem.memberships.values() for v in gs.values()]
+    if granges is None or _field_ranges(values, varity) is None:
+        return None
+    cols = [values] if varity == 0 else list(zip(*values))
+    for uf, col in zip(ufuncs, cols):
+        if uf is _np.add and sum(map(abs, col)) >= _HI:
+            return None
+    if garity == 0:
+        return WireLayout(varity=varity)
+    gmin = tuple(lo for lo, _ in granges)
+    gspan = tuple(hi - lo + 1 for lo, hi in granges)
+    if math.prod(gspan) >= _HI:
+        return None
+    return WireLayout(gmin, gspan, varity)
 
 
 @dataclass
@@ -162,7 +212,8 @@ def run_aggregation(
                 k = _cache[g] = salt(nonce, _group_key(g))
             return k
 
-        use_typed = _typed_applicable(net, bf, problem)
+        layout = _typed_applicable(net, bf, problem)
+        (_OBJECT_RUNS if layout is None else _TYPED_RUNS).inc()
         router = CombiningRouter(
             net,
             bf,
@@ -170,6 +221,7 @@ def run_aggregation(
             target_col_of=lambda g: target_col(key_of(g)),
             combine=problem.fn.combine,
             ufunc=problem.fn.ufunc,
+            layout=layout or INT_LAYOUT,
             kind=kind,
         )
 
@@ -179,7 +231,8 @@ def run_aggregation(
         # flow merely accumulates the draws into columns instead of
         # building per-packet tuples.
         batch = net.config.batch_size(net.n)
-        if use_typed:
+        if layout is not None:
+            inject_dtype = layout.dtype("col")
             pend_cols: list[tuple[list, list, list, list]] = []
             for u, groups in problem.memberships.items():
                 u_rng = shared.node_rng(u, (tag, "inject"))
@@ -198,37 +251,14 @@ def run_aggregation(
                     row[2].append(g)
                     row[3].append(value)
             for srcs, cols, gs, vals in pend_cols:
-                out = BatchBuilder(kind=kind, dtype=INJECT_DTYPE)
-                payload = _np.empty(len(srcs), dtype=INJECT_DTYPE)
+                out = BatchBuilder(kind=kind, dtype=inject_dtype)
+                payload = _np.empty(len(srcs), dtype=inject_dtype)
                 payload["tag"] = "I"
                 payload["col"] = cols
-                payload["g"] = gs
-                payload["val"] = vals
+                layout.fill(payload, gs, vals)
                 out.add_arrays(srcs, cols, payload)
-                inbox = net.exchange(out)
-                if type(inbox) is RoundInbox:
-                    # The whole round's payloads as one column.
-                    _, arr = inbox.columns()
-                    router.inject_array(arr["col"], arr["g"], arr["val"])
-                    continue
-                for msgs in inbox.values():
-                    arr = (
-                        msgs.payload_array()
-                        if type(msgs) is InboxBatch
-                        else None
-                    )
-                    if arr is not None:
-                        router.inject_array(arr["col"], arr["g"], arr["val"])
-                    else:
-                        # Reference engine (or a degraded round) delivered
-                        # boxed tuples; lower them back to columns so both
-                        # engines drive the identical typed kernel.
-                        pls = payloads_of(msgs)
-                        router.inject_array(
-                            [p[1] for p in pls],
-                            [p[2] for p in pls],
-                            [p[3] for p in pls],
-                        )
+                _, arr = wire_columns(net.exchange(out), inject_dtype)
+                router.inject_array(arr["col"], layout.code(arr), layout.values(arr))
         else:
             pending: list[BatchBuilder] = []
             for u, groups in problem.memberships.items():
@@ -255,27 +285,26 @@ def run_aggregation(
         # ----- Postprocessing: deliver to real targets in random rounds.
         ell2 = problem.ell2_bound if problem.ell2_bound is not None else problem.ell2()
         window = max(1, math.ceil(ell2 / max(1, net.log2n)))
-        if use_typed:
+        if layout is not None:
+            result_dtype = layout.dtype(None)
             rows: list[tuple[list, list, list, list]] = [
                 ([], [], [], []) for _ in range(window)
             ]
             for g, value in res.results.items():
                 t = problem.targets[g]
                 src = target_col(key_of(g))  # host of (d, h(g))
-                r_rng = shared.node_rng(src, (tag, "deliver", _group_key(g)))
-                row = rows[r_rng.randrange(window)]
+                row = rows[shared.window_slot(src, (tag, "deliver", _group_key(g)), window)]
                 row[0].append(src)
                 row[1].append(t)
                 row[2].append(g)
                 row[3].append(value)
             schedule = []
             for srcs, dsts, gs, vals in rows:
-                out = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
+                out = BatchBuilder(kind=kind, dtype=result_dtype)
                 if srcs:
-                    payload = _np.empty(len(srcs), dtype=RESULT_DTYPE)
+                    payload = _np.empty(len(srcs), dtype=result_dtype)
                     payload["tag"] = "R"
-                    payload["g"] = gs
-                    payload["val"] = vals
+                    layout.fill(payload, gs, vals)
                     out.add_arrays(srcs, dsts, payload)
                 schedule.append(out)
         else:
@@ -283,16 +312,15 @@ def run_aggregation(
             for g, value in res.results.items():
                 t = problem.targets[g]
                 src = target_col(key_of(g))  # host of (d, h(g))
-                r_rng = shared.node_rng(src, (tag, "deliver", _group_key(g)))
-                schedule[r_rng.randrange(window)].add(src, t, ("R", g, value))
+                slot = shared.window_slot(src, (tag, "deliver", _group_key(g)), window)
+                schedule[slot].add(src, t, ("R", g, value))
         outcome = AggregationOutcome(values={}, rounds=0)
         for r in range(window):
             inbox = net.exchange(schedule[r])
             for t, msgs in inbox.items():
-                arr = msgs.payload_array() if type(msgs) is InboxBatch else None
-                if arr is not None:
+                if layout is not None:
                     by_t = outcome.by_target.setdefault(t, {})
-                    for g, value in zip(arr["g"].tolist(), arr["val"].tolist()):
+                    for g, value in zip(*layout.box(wire_column(msgs, result_dtype))):
                         outcome.values[g] = value
                         by_t[g] = value
                 else:

@@ -20,10 +20,11 @@ import numpy as _np
 class Aggregate:
     """A distributive aggregate: an associative commutative binary
     ``combine``, optionally paired with the numpy ufunc computing the same
-    reduction over int64 columns (``ufunc``).  The ufunc is what lets the
-    typed aggregation path collapse a column of colliding packets without
-    touching Python per element; aggregates without one simply keep the
-    object path."""
+    reduction over int64 columns (``ufunc``).  For tuple values, ``ufunc``
+    is a tuple with one ufunc per field (the componentwise reduction).  The
+    ufunc is what lets the typed aggregation path collapse a column of
+    colliding packets without touching Python per element; aggregates
+    without one simply keep the object path."""
 
     name: str
     combine: Callable[[Any, Any], Any]
@@ -49,7 +50,11 @@ XOR = Aggregate("XOR", lambda a, b: a ^ b, _np.bitwise_xor)
 
 #: (xor, count) pairs — the aggregate of the Identification Algorithm
 #: (Section 4.1): first coordinates XOR, second coordinates add.
-xor_count = Aggregate("XOR_COUNT", lambda a, b: (a[0] ^ b[0], a[1] + b[1]))
+xor_count = Aggregate(
+    "XOR_COUNT",
+    lambda a, b: (a[0] ^ b[0], a[1] + b[1]),
+    (_np.bitwise_xor, _np.add),
+)
 
 
 def min_by_key(name: str = "MIN_BY_KEY") -> Aggregate:

@@ -20,7 +20,7 @@ from typing import Any, Hashable, Mapping
 
 import numpy as _np
 
-from ..butterfly.routing import MulticastRouter, TreeSet
+from ..butterfly.routing import MulticastRouter, TreeSet, wire_dtype
 from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import (
     BatchBuilder,
@@ -40,7 +40,7 @@ GroupT = Hashable
 #: Sizes exactly like the object-path ``(tag, g, payload)`` tuples (1-char
 #: tag = short string = 4 bits), so typed and object runs account identical
 #: wire bits.
-MCAST_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
+MCAST_DTYPE = wire_dtype(None)
 
 
 @dataclass
@@ -161,10 +161,10 @@ def run_multicast(
                 host = col  # level-0 column col is hosted by NCC node col
                 for g, payload in payloads.items():
                     for member in trees.leaf_members.get(g, {}).get(col, ()):
-                        r_rng = shared.node_rng(
-                            host, (tag, "leaf", _group_key(g), member)
+                        slot = shared.window_slot(
+                            host, (tag, "leaf", _group_key(g), member), window
                         )
-                        row = rows[r_rng.randrange(window)]
+                        row = rows[slot]
                         row[0].append(host)
                         row[1].append(member)
                         row[2].append(g)
@@ -185,12 +185,10 @@ def run_multicast(
                 host = col  # level-0 column col is hosted by NCC node col
                 for g, payload in payloads.items():
                     for member in trees.leaf_members.get(g, {}).get(col, ()):
-                        r_rng = shared.node_rng(
-                            host, (tag, "leaf", _group_key(g), member)
+                        slot = shared.window_slot(
+                            host, (tag, "leaf", _group_key(g), member), window
                         )
-                        schedule[r_rng.randrange(window)].add(
-                            host, member, ("L", g, payload)
-                        )
+                        schedule[slot].add(host, member, ("L", g, payload))
         for r in range(window):
             inbox = net.exchange(schedule[r])
             for u, received in inbox.items():

@@ -125,10 +125,12 @@ class SharedRandomness:
     def salted_key(nonce: int, key: int) -> int:
         """Combine an invocation nonce with a group key into a hash input.
 
-        Distinct (nonce, key) pairs map to distinct inputs for keys below
-        2^64, which covers every group identifier this library produces.
+        Distinct (nonce, key) pairs map to distinct inputs for keys in
+        ``[-2^64, 2^64)``, which covers every group identifier this library
+        produces.  The nonce field is set before the high-bit fold, so a
+        negative key (all high bits set) cannot erase it.
         """
-        return (nonce << 64) | (key & ((1 << 64) - 1)) ^ (key >> 64)
+        return ((nonce << 64) | (key & ((1 << 64) - 1))) ^ (key >> 64)
 
     # ------------------------------------------------------------------
     # Private per-node randomness (free)
@@ -136,6 +138,14 @@ class SharedRandomness:
     def node_rng(self, node: int, tag: object) -> random.Random:
         """A private, reproducible stream for one node and protocol step."""
         return seeded_rng(f"{self.config.seed}|node|{node}|{tag!r}")
+
+    def window_slot(self, node: int, tag: object, window: int) -> int:
+        """``node``'s uniform draw of one round from a ``window``-round
+        delivery window, on its private stream ``tag``.  A one-round window
+        draws nothing: ``randrange(1)`` is always 0, so no stream is built."""
+        if window == 1:
+            return 0
+        return self.node_rng(node, tag).randrange(window)
 
     def fresh_tag(self, base: str) -> tuple[str, int]:
         """A unique tag (for per-invocation hash functions)."""

@@ -246,6 +246,56 @@ class TestNumpyScalars:
         assert [payload_bits(s) for s in arr] == typed_payload_bits(arr).tolist()
 
 
+class TestVectorizedIntSizing:
+    """The frexp-based column sizer against the scalar rule, at the edges
+    where a float64 conversion rounds (above ``2**53``) and at the int64
+    extremes."""
+
+    np = pytest.importorskip("numpy")
+
+    EDGES = (
+        0, 1, -1, 2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**54 - 1,
+        -(2**54 - 1), 2**62, 2**63 - 1, -(2**63),
+    )
+
+    def test_int_col_bits_matches_payload_bits(self):
+        np = self.np
+        rng = random.Random(17)
+        values = list(self.EDGES)
+        values += [rng.randint(-(2**63), 2**63 - 1) for _ in range(2000)]
+        # Every magnitude class: the random draws above are almost all 63-64
+        # bits long.
+        values += [rng.randint(-(2**63), 2**63 - 1) >> rng.randrange(64) for _ in range(2000)]
+        values += [(1 << k) + d for k in range(63) for d in (-1, 0, 1)]
+        arr = np.asarray(values, dtype=np.int64)
+        assert message._int_col_bits(arr).tolist() == [payload_bits(v) for v in values]
+        # Any shape: a (fields, rows) matrix sizes element by element.
+        mat = arr[:4000].reshape(2, 2000)
+        assert message._int_col_bits(mat).tolist() == [
+            [payload_bits(v) for v in row] for row in mat.tolist()
+        ]
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    def test_structured_int_fields_size_per_row(self, fields):
+        np = self.np
+        from repro.ncc.message import typed_payload_bits
+
+        rng = random.Random(fields)
+        dt = np.dtype([("tag", "U1")] + [(f"f{i}", "i8") for i in range(fields)])
+        rows = [
+            ("D",) + tuple(
+                rng.choice(self.EDGES)
+                if rng.random() < 0.3
+                else rng.randint(-(2**63), 2**63 - 1) >> rng.randrange(64)
+                for _ in range(fields)
+            )
+            for _ in range(300)
+        ]
+        arr = np.array(rows, dtype=dt)
+        assert typed_payload_bits(arr).tolist() == [payload_bits(r.item()) for r in arr]
+        assert typed_payload_bits(arr[:0]).tolist() == []
+
+
 class TestMemoSafety:
     def test_equal_value_different_type_not_conflated(self):
         """1 == 1.0 == True, but an int is 1 bit and a float is 32: the

@@ -36,6 +36,25 @@ class TestDeterminism:
         tags = {s.fresh_tag("x") for _ in range(100)}
         assert len(tags) == 100
 
+    def test_window_slot_one_round_draws_nothing(self):
+        """randrange(1) is always 0: a one-round window builds no stream,
+        a wider one draws from the node's private stream for the tag."""
+        s = SharedRandomness(NCCConfig(seed=3), 16)
+        built = []
+        node_rng = s.node_rng
+
+        def spy(node, tag):
+            built.append(node)
+            return node_rng(node, tag)
+
+        s.node_rng = spy
+        assert s.window_slot(4, ("t", "deliver", 9), 1) == 0
+        assert built == []
+        slots = [s.window_slot(4, ("t", "deliver", g), 5) for g in range(40)]
+        assert slots == [node_rng(4, ("t", "deliver", g)).randrange(5) for g in range(40)]
+        assert len(set(slots)) > 1
+        assert built == [4] * 40
+
 
 class TestSaltedKeys:
     def test_distinct_pairs_distinct_keys(self):
@@ -50,6 +69,25 @@ class TestSaltedKeys:
         k1 = SharedRandomness.salted_key(1, big)
         k2 = SharedRandomness.salted_key(1, big + 1)
         assert k1 != k2
+
+    def test_negative_keys_keep_the_nonce(self):
+        """A negative key has every high bit set; the nonce must survive
+        the high-bit fold instead of being OR-ed away."""
+        for key in (-1, -5, -(2**63)):
+            assert SharedRandomness.salted_key(1, key) != SharedRandomness.salted_key(
+                2, key
+            ), key
+
+    def test_golden_values_for_non_negative_keys(self):
+        golden = {
+            (1, 0): 18446744073709551616,
+            (1, 5): 18446744073709551621,
+            (3, 2**40 + 7): 55340233320640282631,
+            (7, 2**64 + 3): 129127208515966861314,
+            (2, 2**100): 36893488216138579968,
+        }
+        for (nonce, key), want in golden.items():
+            assert SharedRandomness.salted_key(nonce, key) == want, (nonce, key)
 
     def test_nonce_counter_advances(self):
         s = SharedRandomness(NCCConfig(), 16)

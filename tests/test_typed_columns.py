@@ -35,8 +35,17 @@ from repro.primitives.aggregation import (
     run_aggregation,
 )
 from repro.primitives.direct import send_chunked, send_direct
-from repro.primitives.functions import MAX, MIN, SUM, XOR, xor_count
+from repro.primitives.functions import (
+    MAX,
+    MIN,
+    SUM,
+    XOR,
+    Aggregate,
+    tuple_of,
+    xor_count,
+)
 from repro.runtime import NCCRuntime
+from repro.telemetry.metrics import METRICS
 
 ENGINES = ("reference", "batched")
 
@@ -414,7 +423,9 @@ def _run_agg(n, problem, engine, typed, mode=Enforcement.COUNT):
     try:
         rt = NCCRuntime(n, _config(engine, mode))
         m0, b0 = message_construction_count(), payload_box_count()
+        c0 = METRICS.snapshot()
         out = run_aggregation(rt.net, rt.bf, rt.shared, problem)
+        paths = METRICS.delta(c0, METRICS.snapshot())
         return {
             "values": out.values,
             "by_target": out.by_target,
@@ -422,6 +433,10 @@ def _run_agg(n, problem, engine, typed, mode=Enforcement.COUNT):
             "stats": rt.net.stats.comparable(),
             "constructed": message_construction_count() - m0,
             "boxed": payload_box_count() - b0,
+            "path": {
+                p: paths.get(f"primitives.aggregation.{p}", 0)
+                for p in ("typed", "object")
+            },
         }
     finally:
         set_typed_payloads(prev)
@@ -537,6 +552,202 @@ class TestTypedAggregation:
             finally:
                 set_typed_payloads(prev)
         assert outs[True] == outs[False]
+
+
+# ----------------------------------------------------------------------
+# Tuple groups and pair values on the typed kernel
+# ----------------------------------------------------------------------
+def _oracle(problem):
+    out = {}
+    for gs in problem.memberships.values():
+        for g, v in gs.items():
+            out[g] = problem.fn.combine(out[g], v) if g in out else v
+    return out
+
+
+def _findmin_problem(n, rng):
+    """FindMin's echo shape: groups ``(leader, up|down)``, XOR values."""
+    leaders = rng.sample(range(n), 5)
+    memberships = {
+        u: {(c, d): rng.randrange(1 << 20) for d in (0, 1)}
+        for u in range(n)
+        for c in [leaders[u % len(leaders)]]
+    }
+    targets = {(c, d): c for c in leaders for d in (0, 1)}
+    return AggregationProblem(memberships, targets, XOR, ell2_bound=2)
+
+
+def _identification_problem(n, rng):
+    """The Identification Algorithm's shape: groups ``(w, trial)``,
+    ``(arc, 1)`` values under ``xor_count``."""
+    memberships = {}
+    for v in range(n):
+        entry = {}
+        for w in rng.sample(range(n), 3):
+            arc = w * n + v
+            for t in rng.sample(range(7), 2):
+                entry[(w, t)] = (arc, 1)
+        memberships[v] = entry
+    targets = {g: g[0] for gs in memberships.values() for g in gs}
+    return AggregationProblem(memberships, targets, xor_count, ell2_bound=7)
+
+
+TUPLE_PROBLEMS = {
+    "findmin-xor": _findmin_problem,
+    "identification-xor-count": _identification_problem,
+}
+
+
+def _fallback_problem(case, n):
+    """Instances the typed flow must decline (one reason each)."""
+    rng = random.Random(21)
+    if case == "mixed-arity":
+        ms = {u: {(u % 3, 0): u, (u % 3,): u + 1} for u in range(n)}
+        return AggregationProblem(ms, {g: 0 for m in ms.values() for g in m}, XOR)
+    if case == "str-field":
+        ms = {u: {("g", u % 3): u} for u in range(n)}
+        return AggregationProblem(ms, {("g", i): i for i in range(3)}, XOR)
+    if case == "bool-field":
+        ms = {u: {(u % 3, u % 2 == 0): u} for u in range(n)}
+        return AggregationProblem(ms, {g: g[0] for m in ms.values() for g in m}, XOR)
+    if case == "float-value-field":
+        ms = {u: {(u % 4, 1): (rng.randrange(99), 1.0)} for u in range(n)}
+        return AggregationProblem(ms, {(i, 1): i for i in range(4)}, xor_count)
+    if case == "range-product":
+        # Field ranges (2**31 + 1) each: their product passes 2**62.
+        ms = {u: {(u % 2 * 2**31, u % 2 * 2**31): u} for u in range(n)}
+        return AggregationProblem(ms, {g: 1 for m in ms.values() for g in m}, XOR)
+    if case == "value-arity":
+        fn = Aggregate(
+            "XOR_SUM_SUM", tuple_of(XOR, SUM, SUM).combine, (np.bitwise_xor, np.add)
+        )
+        ms = {u: {(u % 3, 0): (u, 1, 2)} for u in range(n)}
+        return AggregationProblem(ms, {(i, 0): i for i in range(3)}, fn)
+    if case == "count-overflow":
+        ms = {u: {(0, 0): (u, 2**61)} for u in range(n)}
+        return AggregationProblem(ms, {(0, 0): 5}, xor_count)
+    raise AssertionError(case)
+
+
+FALLBACK_CASES = (
+    "mixed-arity",
+    "str-field",
+    "bool-field",
+    "float-value-field",
+    "range-product",
+    "value-arity",
+    "count-overflow",
+)
+
+
+class TestTupleGroupsAndPairValues:
+    @pytest.mark.parametrize("case", list(TUPLE_PROBLEMS))
+    def test_typed_object_engines_all_agree(self, case):
+        n = 32
+        problem = TUPLE_PROBLEMS[case](n, random.Random(6))
+        runs = {
+            (e, t): _run_agg(n, problem, e, t)
+            for e in ENGINES
+            for t in (True, False)
+        }
+        base = runs[("reference", False)]
+        assert base["values"] == _oracle(problem)
+        assert all(type(g) is tuple for g in base["values"])
+        for key, run in runs.items():
+            for fld in ("values", "by_target", "rounds", "stats"):
+                assert run[fld] == base[fld], (key, fld)
+            typed = key[1]
+            assert run["path"] == {"typed": int(typed), "object": int(not typed)}, key
+        typed = runs[("batched", True)]
+        assert typed["constructed"] == 0
+        assert typed["boxed"] == 0
+
+    def test_router_decodes_groups_once_each(self, typed_on):
+        """rank/target hashes see the decoded tuple group, once per group."""
+        from repro.butterfly.routing import CombiningRouter, WireLayout
+
+        n = 32
+        rt = NCCRuntime(n, _config("batched"))
+        layout = WireLayout(gmin=(-3, 10), gspan=(7, 4), varity=2)
+        groups = [(a, b) for a in range(-3, 4) for b in range(10, 14)]
+        seen = []
+
+        def rank_of(g):
+            seen.append(g)
+            return hash(g) % 97
+
+        router = CombiningRouter(
+            rt.net,
+            rt.bf,
+            rank_of=rank_of,
+            target_col_of=lambda g: (g[0] * 31 + g[1]) % rt.bf.columns,
+            combine=xor_count.combine,
+            ufunc=xor_count.ufunc,
+            layout=layout,
+        )
+        rng = random.Random(2)
+        packets = [(rng.randrange(n), rng.choice(groups), (rng.randrange(1000), 1))
+                   for _ in range(400)]
+        codes = [(a + 3) * 4 + (b - 10) for _, (a, b), _ in packets]
+        router.inject_array([p[0] for p in packets], codes, [p[2] for p in packets])
+        res = router.run()
+        assert sorted(seen) == sorted(set(p[1] for p in packets))
+        oracle = {}
+        for _, g, v in packets:
+            oracle[g] = xor_count.combine(oracle[g], v) if g in oracle else v
+        assert res.results == oracle
+
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_unsupported_shapes_fall_back_identically(self, case):
+        n = 16
+        problem = _fallback_problem(case, n)
+        typed = _run_agg(n, problem, "batched", True)
+        obj = _run_agg(n, problem, "batched", False)
+        assert typed["path"] == {"typed": 0, "object": 1}, case
+        for fld in ("values", "by_target", "rounds", "stats"):
+            assert typed[fld] == obj[fld], (case, fld)
+        assert typed["values"] == _oracle(problem), case
+
+
+class TestAggregationPathCounters:
+    """Every Table 1 aggregation whose shape fits rides the typed flow:
+    FindMin's echo and the identification step count only as typed."""
+
+    @pytest.mark.parametrize(
+        "algorithm,kinds",
+        [
+            ("mst", ("mst:findmin:echo",)),
+            ("mis", ("orientation:ident1:agg",)),
+            ("identification", ("identification:agg",)),
+        ],
+    )
+    def test_typed_counter_only(self, monkeypatch, algorithm, kinds):
+        from repro.api import RunSpec, Session
+        from repro.registry import bench_config
+
+        paths = []
+        aggregation = NCCRuntime.aggregation
+
+        def spy(self, problem, *, tag=None, kind="aggregation"):
+            before = METRICS.snapshot()
+            out = aggregation(self, problem, tag=tag, kind=kind)
+            delta = METRICS.delta(before, METRICS.snapshot())
+            paths.append(
+                (
+                    kind,
+                    delta.get("primitives.aggregation.typed", 0),
+                    delta.get("primitives.aggregation.object", 0),
+                )
+            )
+            return out
+
+        monkeypatch.setattr(NCCRuntime, "aggregation", spy)
+        session = Session(base_config=bench_config(0))
+        report = session.run(RunSpec(algorithm, 64, seed=0, engine="batched"))
+        assert report.correct
+        mine = [p for p in paths if p[0] in kinds]
+        assert mine, paths
+        assert all(p[1:] == (1, 0) for p in mine), mine
 
 
 class TestTypedMulticast:
